@@ -29,7 +29,7 @@
 //! minskew snapshot verify --snapshot stats.snap
 //! minskew snapshot load --snapshot stats.snap [--input data.csv]
 //! minskew serve    [--addr A] [--port-file F] [--input data.csv]
-//!                  [--table NAME] [--buckets B] [--shards S] [--technique T]
+//!                  [--table NAME] [--buckets B] [--technique T]
 //! minskew catalog  <action> --addr HOST:PORT [action flags]
 //! minskew top      --addr HOST:PORT [--name TABLE] [--interval SECS]
 //!                  [--iterations N]
@@ -241,13 +241,13 @@ minskew — spatial selectivity estimation (Min-Skew, SIGMOD 1999)
                    (strict load by default: corruption is exit 5; with --input, runs the
                     engine's graceful recovery — quarantine + rebuild from the data)
   minskew serve    [--addr HOST:PORT] [--port-file F] [--input data.csv] [--table NAME] \\
-                   [--buckets B] [--shards S] [--technique T] [--max-batch N]
+                   [--buckets B] [--technique T] [--max-batch N]
                    (hosts a table catalog over the line protocol; --input preloads and
                     ANALYZEs one table; blocks until a client sends SHUTDOWN, then dumps
                     the server's metrics registry)
   minskew catalog  <action> --addr HOST:PORT [flags]
                    actions: ping | list | shutdown | stats [--name T]
-                            create --name T [--buckets B] [--shards S] [--technique T]
+                            create --name T [--buckets B] [--technique T]
                             drop --name T | analyze --name T
                             insert --name T --rect x1,y1,x2,y2 | delete --name T --id N
                             estimate --name T --query x1,y1,x2,y2
@@ -478,7 +478,7 @@ fn estimate(opts: &Flags) -> Result<(), CliError> {
         })?
     };
     let query = parse_query(req(opts, "query")?)?;
-    // Serve through the bucket index — bit-identical to the linear scan.
+    // Serve through the block-pruned kernel — bit-identical to the reference fold.
     let mut scratch = IndexScratch::new();
     let est = {
         let _span = trace.span("estimate");
@@ -633,13 +633,12 @@ fn stats_cmd(opts: &Flags) -> Result<(), CliError> {
             data.len()
         );
         if let Some(stats) = table.current_snapshot().stats() {
-            let fp = stats.histogram().serving_footprint();
+            let fp = stats.serving_footprint();
             println!(
-                "serving footprint: summary={} ext_table={} index={} plane={} \
+                "serving footprint: summary={} ext_table={} plane={} \
                  total={} bytes (kernel: {})",
                 fp.summary,
                 fp.ext_table,
-                fp.index,
                 fp.plane,
                 fp.total(),
                 simd_level()

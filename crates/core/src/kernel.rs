@@ -5,10 +5,9 @@
 //!
 //! The reference estimator folds [`Bucket::estimate_with_extension`] over an
 //! AoS `Vec<Bucket>`: every bucket costs two early-exit branches, a `Rect`
-//! construction, and scattered loads across a 56-byte struct. Once the
-//! [`crate::BucketIndex`] has pruned what it can, that per-bucket cost *is*
-//! the serving floor (BENCH_estimate.json: ~1x indexed speedup at 50
-//! buckets). [`BucketPlane`] stores the same nine per-bucket words
+//! construction, and scattered loads across a 56-byte struct, so the
+//! per-bucket cost *is* the serving floor. [`BucketPlane`] stores the same
+//! nine per-bucket words
 //! (`x1/y1/x2/y2/count/avg_w/avg_h/ex/ey`) as separate contiguous `f64`
 //! slices so the clip-and-accumulate loop streams cache lines instead of
 //! striding structs, and rewrites the loop in a branchless
@@ -20,7 +19,7 @@
 //! AoS fold (`buckets.iter().map(estimate_with_extension).sum::<f64>()`,
 //! which folds from Rust's `f64` additive identity `-0.0`). That is what
 //! lets the kernel serve underneath every existing differential contract
-//! (serving, sharded, parallel, wire-protocol goldens) without moving a
+//! (serving, parallel, wire-protocol goldens) without moving a
 //! single bit. The derivation:
 //!
 //! 1. **The clip arithmetic is the same arithmetic.** For bucket `i` the
@@ -126,8 +125,8 @@ const QUAD: usize = 4;
 /// Structure-of-arrays mirror of a histogram's buckets plus the per-bucket
 /// extension amounts under one [`ExtensionRule`].
 ///
-/// Built by [`crate::SpatialHistogram`] alongside the [`crate::BucketIndex`]
-/// and invalidated by the same `OnceLock` discipline (any bucket mutation or
+/// Built lazily by [`crate::SpatialHistogram`] and invalidated by the same
+/// `OnceLock` discipline as its other derived caches (any bucket mutation or
 /// rule change drops it). All fine columns have identical length and are in
 /// bucket-id order, so [`BucketPlane::accumulate`] streams them in exactly
 /// the reference fold order.
@@ -139,11 +138,10 @@ const QUAD: usize = 4;
 /// mirror positions — the union of the members' MBRs and the maxima of
 /// their extension amounts. Z-order makes a block's members spatial
 /// neighbours, so a selective query prunes almost every block with one
-/// rectangle test. The same computed-containment argument that makes
-/// [`crate::BucketIndex`] sound (IEEE-754 add/sub/max are monotone, so the
-/// query extended by the block maxima contains every member's extended
-/// query) proves a failed block test means every member's term is exactly
-/// `+0.0`.
+/// rectangle test. A computed-containment argument (IEEE-754 add/sub/max
+/// are monotone, so the query extended by the block maxima contains every
+/// member's extended query) proves a failed block test means every
+/// member's term is exactly `+0.0`.
 #[derive(Debug, Clone, Default)]
 pub struct BucketPlane {
     x1: Vec<f64>,
@@ -279,6 +277,24 @@ fn classify(x1: f64, y1: f64, x2: f64, y2: f64, c: f64, ex: f64, ey: f64, p: &Qu
 pub struct TermBuf {
     vals: Vec<f64>,
     mask: Vec<u64>,
+}
+
+/// Reusable per-caller scratch for the serving entry points
+/// ([`crate::SpatialHistogram::estimate_count_indexed`] and
+/// [`crate::SpatialHistogram::estimate_count_explained`]): allocation-free
+/// once warm, one per worker over a shared immutable histogram.
+#[derive(Debug, Clone, Default)]
+pub struct IndexScratch {
+    /// The block-pruned scan's term buffer.
+    pub(crate) terms: TermBuf,
+}
+
+impl IndexScratch {
+    /// Creates an empty scratch. Buffers grow on first use and are then
+    /// reused for every subsequent estimate.
+    pub fn new() -> IndexScratch {
+        IndexScratch::default()
+    }
 }
 
 impl TermBuf {
@@ -679,20 +695,6 @@ impl BucketPlane {
         let mut saw_pos_zero = false;
         for i in 0..self.len() {
             self.fold_one(i, p, &mut acc, &mut saw_pos_zero);
-        }
-        Self::finish(acc, saw_pos_zero)
-    }
-
-    /// Strict-fold-equivalent estimate over the candidate subset `ids`
-    /// (ascending bucket ids from [`crate::BucketIndex`]): bit-identical to
-    /// `ids.iter().map(|&i| buckets[i].estimate_with_extension(..)).sum()`.
-    ///
-    /// Candidate lists are short, so this stays scalar even under `simd`.
-    pub fn accumulate_ids(&self, p: &QueryPrep, ids: &[u32]) -> f64 {
-        let mut acc = -0.0f64;
-        let mut saw_pos_zero = false;
-        for &i in ids {
-            self.fold_one(i as usize, p, &mut acc, &mut saw_pos_zero);
         }
         Self::finish(acc, saw_pos_zero)
     }
@@ -1684,36 +1686,11 @@ mod tests {
     }
 
     #[test]
-    fn subset_fold_matches_reference_subset() {
-        let buckets = grid(6);
-        let rule = ExtensionRule::Minkowski;
-        let plane = BucketPlane::build(&buckets, rule);
-        let ids: Vec<u32> = vec![0, 3, 7, 8, 20, 35];
-        for q in queries() {
-            let p = QueryPrep::new(&q);
-            let want: f64 = ids
-                .iter()
-                .map(|&i| {
-                    let b = &buckets[i as usize];
-                    let (ex, ey) = rule.amounts(b.avg_width, b.avg_height);
-                    b.estimate_with_extension(&q, ex, ey)
-                })
-                .sum();
-            assert_eq!(
-                plane.accumulate_ids(&p, &ids).to_bits(),
-                want.to_bits(),
-                "q={q}"
-            );
-        }
-    }
-
-    #[test]
     fn empty_plane_returns_fold_identity() {
         let plane = BucketPlane::build(&[], ExtensionRule::Minkowski);
         let p = QueryPrep::new(&Rect::new(0.0, 0.0, 1.0, 1.0));
         // The reference fold over zero terms is Rust's `-0.0` identity.
         assert_eq!(plane.accumulate(&p).to_bits(), (-0.0f64).to_bits());
-        assert_eq!(plane.accumulate_ids(&p, &[]).to_bits(), (-0.0f64).to_bits());
         let mut terms = TermBuf::new();
         assert_eq!(
             plane.accumulate_pruned(&p, &mut terms).to_bits(),

@@ -3,9 +3,11 @@
 //!
 //! Caching an estimate is sound only because every mutation path through
 //! [`crate::SpatialTable`] (`insert`, `delete`, any statistics install —
-//! `analyze`, `try_analyze`, `load_stats`, auto-`ANALYZE`) clears the cache
-//! before the next read: a cached value is therefore always the value the
-//! estimator would recompute, bit for bit. Keys are the four raw `f64` bit
+//! `analyze`, `try_analyze`, `load_stats`, auto-`ANALYZE`) publishes a new
+//! snapshot generation, and a [`crate::SpatialReader`] clears its cache on
+//! the first load that observes a new generation, before any probe: a
+//! cached value is therefore always the value the estimator would
+//! recompute, bit for bit. Keys are the four raw `f64` bit
 //! patterns of the query rectangle, so two queries share an entry only when
 //! they are the *same bits* — no epsilon matching, no rounding.
 //!
@@ -126,15 +128,18 @@ impl QueryCache {
     }
 
     /// Drops every entry (the table mutated: all cached estimates are
-    /// potentially stale). Counted only when the cache held something.
-    pub(crate) fn invalidate(&mut self) {
-        if !self.map.is_empty() {
+    /// potentially stale). Counted only when the cache held something;
+    /// returns whether it did.
+    pub(crate) fn invalidate(&mut self) -> bool {
+        let flushed = !self.map.is_empty();
+        if flushed {
             self.invalidations += 1;
         }
         self.map.clear();
         self.slots.clear();
         self.head = NONE;
         self.tail = NONE;
+        flushed
     }
 
     #[cfg(test)]

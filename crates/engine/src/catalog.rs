@@ -7,7 +7,6 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use minskew_core::BuildError;
 
-use crate::publish::{SnapshotCell, TableSnapshot};
 use crate::reader::SpatialReader;
 use crate::table::{SpatialTable, TableOptions};
 
@@ -61,10 +60,10 @@ impl std::error::Error for CatalogError {
 #[derive(Debug)]
 pub struct CatalogEntry {
     name: String,
-    /// The table's publication cell, cloned out at creation so readers can
-    /// be minted while the table is locked.
-    cell: Arc<SnapshotCell<TableSnapshot>>,
-    cache_capacity: usize,
+    /// A reader minted from the table at creation and never used to
+    /// estimate: its clones share the table's publication cell and sink, so
+    /// readers can be minted while the table is locked.
+    prototype: SpatialReader,
     table: Mutex<SpatialTable>,
 }
 
@@ -84,7 +83,7 @@ impl CatalogEntry {
     /// A lock-free reader over this table's published snapshots; see
     /// [`SpatialTable::reader`]. Does **not** take the table lock.
     pub fn reader(&self) -> SpatialReader {
-        SpatialReader::new(self.cell.clone(), self.cache_capacity)
+        self.prototype.clone()
     }
 }
 
@@ -128,12 +127,7 @@ impl SpatialCatalog {
         let table = SpatialTable::try_new(options).map_err(CatalogError::Build)?;
         let entry = Arc::new(CatalogEntry {
             name: name.to_string(),
-            cell: table.snapshot_cell(),
-            cache_capacity: if options.query_cache {
-                options.query_cache_capacity
-            } else {
-                0
-            },
+            prototype: table.reader(),
             table: Mutex::new(table),
         });
         let mut tables = self.lock();

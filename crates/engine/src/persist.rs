@@ -228,10 +228,12 @@ impl SpatialTable {
         if !self.options.metrics || !minskew_obs::enabled() {
             return;
         }
-        self.registry
+        self.sink
+            .registry
             .counter(&format!("engine.snapshot.{op}"))
             .inc();
-        self.registry
+        self.sink
+            .registry
             .histogram(&format!("engine.snapshot.{op}_ns"))
             .record(ns);
     }
@@ -239,7 +241,7 @@ impl SpatialTable {
     /// Bumps a snapshot counter, respecting the metrics switch.
     fn bump_snapshot_counter(&self, name: &str) {
         if self.options.metrics && minskew_obs::enabled() {
-            self.registry.counter(name).inc();
+            self.sink.registry.counter(name).inc();
         }
     }
 }

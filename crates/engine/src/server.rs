@@ -12,11 +12,11 @@
 //! |---|---|
 //! | `PING` | `OK pong` |
 //! | `TABLES` | `OK <n> <name>...` |
-//! | `CREATE <t> [buckets=N] [shards=S] [technique=T]` | `OK created <t>` |
+//! | `CREATE <t> [buckets=N] [technique=T]` | `OK created <t>` |
 //! | `DROP <t>` | `OK dropped <t>` |
 //! | `INSERT <t> <x1> <y1> <x2> <y2>` | `OK <rowid>` |
 //! | `DELETE <t> <rowid>` | `OK deleted <rowid>` |
-//! | `ANALYZE <t>` | `OK analyzed <t> buckets=<B> fallback=<F> shards=<S>` |
+//! | `ANALYZE <t>` | `OK analyzed <t> buckets=<B> fallback=<F>` |
 //! | `ESTIMATE <t> <x1> <y1> <x2> <y2>` | `OK <estimate>` |
 //! | `BATCH <t> <n> <x1> <y1> <x2> <y2> ...` | `OK <e1> <e2> ...` |
 //! | `STATS [<t>]` | `OK {...}` (single-line JSON) |
@@ -61,14 +61,16 @@
 //!
 //! # Concurrency
 //!
-//! Thread per connection. `ESTIMATE`/`BATCH` go through per-connection
-//! [`SpatialReader`]s — the lock-free snapshot path — so estimate traffic
-//! on one table proceeds concurrently across connections even while a
-//! writer runs `ANALYZE`. Mutating verbs lock only their target table.
+//! Thread per connection. `ESTIMATE`/`BATCH`/`EXPLAIN` go through
+//! per-connection [`SpatialReader`]s — the lock-free snapshot path — so
+//! estimate traffic on one table proceeds concurrently across connections
+//! even while a writer runs `ANALYZE`. Mutating verbs lock only their
+//! target table. Every connection's reader reports into its table's shared
+//! sink, so `METRICS <t>`, `FLIGHT <t>` and `MAINTAIN <t>` see wire traffic
+//! exactly as they see library traffic.
 //!
-//! Per-connection and per-verb counters, request latency, and per-shard
-//! routing counters flow into the server's [`Registry`]
-//! ([`ServerHandle::metrics`]).
+//! Per-connection and per-verb counters and request latency flow into the
+//! server's [`Registry`] ([`ServerHandle::metrics`]).
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -77,12 +79,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use minskew_geom::Rect;
-use minskew_obs::{FlightRecorder, FlightTrigger, QueryRecord, Registry, Stopwatch};
+use minskew_obs::{FlightRecorder, QueryRecord, Registry, Stopwatch};
 
 use crate::catalog::{CatalogEntry, CatalogError, SpatialCatalog};
 use crate::persist::SnapshotIoError;
-use crate::publish::{EstimatePath, EstimateTrace};
-use crate::reader::SpatialReader;
+use crate::publish::EstimateTrace;
+use crate::reader::{flight_trigger, SpatialReader};
 use crate::table::{MaintenanceMode, RowId, StatsTechnique, TableOptions};
 
 /// Hard cap on one request line (transport protection; a longer line
@@ -95,8 +97,8 @@ pub struct ServeOptions {
     /// Bind address; port `0` picks an ephemeral port (see
     /// [`ServerHandle::addr`]).
     pub addr: String,
-    /// Options for tables created via the `CREATE` verb (bucket budget,
-    /// shard count, and technique are overridable per request).
+    /// Options for tables created via the `CREATE` verb (bucket budget and
+    /// technique are overridable per request).
     pub table_options: TableOptions,
     /// Maximum query count accepted by one `BATCH` request.
     pub max_batch: usize,
@@ -130,6 +132,26 @@ struct ServerCtx {
 }
 
 impl ServerCtx {
+    /// A fresh context, with the wire flight recorder sized by the table
+    /// options' flight knobs (zero when metrics are off).
+    fn new(catalog: Arc<SpatialCatalog>, options: ServeOptions) -> ServerCtx {
+        let table = &options.table_options;
+        let flight_capacity = if table.metrics {
+            table.flight_capacity
+        } else {
+            0
+        };
+        ServerCtx {
+            catalog,
+            registry: Registry::new(),
+            shutdown: AtomicBool::new(false),
+            active: AtomicU64::new(0),
+            flight: FlightRecorder::new(flight_capacity),
+            wire_estimates: AtomicU64::new(0),
+            options,
+        }
+    }
+
     fn bump(&self, name: &str) {
         if minskew_obs::enabled() {
             self.registry.counter(name).inc();
@@ -153,11 +175,8 @@ impl ServerCtx {
         }
         let opts = &self.options.table_options;
         let n = self.wire_estimates.fetch_add(1, Ordering::Relaxed);
-        let trigger = if opts.flight_slow_ns > 0 && latency_ns >= opts.flight_slow_ns {
-            FlightTrigger::Slow
-        } else if opts.flight_sample > 0 && n.is_multiple_of(u64::from(opts.flight_sample)) {
-            FlightTrigger::Sampled
-        } else {
+        let Some(trigger) = flight_trigger(latency_ns, opts.flight_slow_ns, opts.flight_sample, n)
+        else {
             return;
         };
         self.flight.record(&QueryRecord {
@@ -229,20 +248,7 @@ pub fn serve(catalog: Arc<SpatialCatalog>, options: ServeOptions) -> std::io::Re
     let listener = TcpListener::bind(&addrs[..])?;
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
-    let flight_capacity = if options.table_options.metrics {
-        options.table_options.flight_capacity
-    } else {
-        0
-    };
-    let ctx = Arc::new(ServerCtx {
-        catalog,
-        options,
-        registry: Registry::new(),
-        shutdown: AtomicBool::new(false),
-        active: AtomicU64::new(0),
-        flight: FlightRecorder::new(flight_capacity),
-        wire_estimates: AtomicU64::new(0),
-    });
+    let ctx = Arc::new(ServerCtx::new(catalog, options));
     let accept_ctx = Arc::clone(&ctx);
     let accept = std::thread::spawn(move || accept_loop(listener, accept_ctx));
     Ok(ServerHandle {
@@ -277,16 +283,10 @@ fn accept_loop(listener: TcpListener, ctx: Arc<ServerCtx>) {
     }
 }
 
-/// Per-connection state: cached lock-free readers (one per table touched)
-/// and their resolved per-shard routing counters.
+/// Per-connection state: cached lock-free readers, one per table touched.
+#[derive(Default)]
 struct ConnState {
-    readers: std::collections::HashMap<String, TableReader>,
-}
-
-struct TableReader {
-    reader: SpatialReader,
-    /// `serve.table.<t>.shard.<s>.routed`, resolved lazily per shard.
-    shard_counters: Vec<Arc<minskew_obs::Counter>>,
+    readers: std::collections::HashMap<String, SpatialReader>,
 }
 
 fn handle_connection(stream: TcpStream, ctx: Arc<ServerCtx>) {
@@ -309,9 +309,7 @@ fn handle_connection(stream: TcpStream, ctx: Arc<ServerCtx>) {
 }
 
 fn serve_requests(mut stream: TcpStream, ctx: &Arc<ServerCtx>) {
-    let mut conn = ConnState {
-        readers: std::collections::HashMap::new(),
-    };
+    let mut conn = ConnState::default();
     let mut buf: Vec<u8> = Vec::with_capacity(512);
     let mut chunk = [0u8; 4096];
     loop {
@@ -500,10 +498,7 @@ fn dispatch(ctx: &Arc<ServerCtx>, conn: &mut ConnState, line: &str, tid: &str) -
 
 fn cmd_create(ctx: &Arc<ServerCtx>, args: &[&str]) -> Reply {
     let [name, opts @ ..] = args else {
-        return err(
-            2,
-            "usage: CREATE <table> [buckets=N] [shards=S] [technique=T]",
-        );
+        return err(2, "usage: CREATE <table> [buckets=N] [technique=T]");
     };
     let mut options = ctx.options.table_options;
     for opt in opts {
@@ -517,10 +512,6 @@ fn cmd_create(ctx: &Arc<ServerCtx>, args: &[&str]) -> Reply {
             "buckets" => match value.parse::<usize>() {
                 Ok(v) => options.analyze.buckets = v,
                 Err(_) => return err(2, format_args!("usage: bad buckets {value:?}")),
-            },
-            "shards" => match value.parse::<usize>() {
-                Ok(v) => options.shards = v,
-                Err(_) => return err(2, format_args!("usage: bad shards {value:?}")),
             },
             "technique" => {
                 options.analyze.technique = match value {
@@ -608,9 +599,8 @@ fn cmd_analyze(ctx: &Arc<ServerCtx>, args: &[&str]) -> Reply {
             let mut table = entry.table();
             table.analyze();
             let diag = table.stats_diagnostics();
-            let shards = table.current_snapshot().num_shards();
             ok(format_args!(
-                "analyzed {name} buckets={} fallback={} shards={shards}",
+                "analyzed {name} buckets={} fallback={}",
                 diag.achieved_buckets, diag.fallback
             ))
         }
@@ -623,69 +613,15 @@ fn conn_reader<'a>(
     ctx: &Arc<ServerCtx>,
     conn: &'a mut ConnState,
     name: &str,
-) -> Result<&'a mut TableReader, Reply> {
+) -> Result<&'a mut SpatialReader, Reply> {
     if !conn.readers.contains_key(name) {
         let entry = lookup(ctx, name)?;
-        conn.readers.insert(
-            name.to_string(),
-            TableReader {
-                reader: entry.reader(),
-                shard_counters: Vec::new(),
-            },
-        );
+        conn.readers.insert(name.to_string(), entry.reader());
     }
     Ok(conn
         .readers
         .get_mut(name)
         .expect("reader inserted just above"))
-}
-
-/// Counts routed shards into `serve.table.<t>.shard.<s>.routed`.
-fn note_routing(ctx: &Arc<ServerCtx>, name: &str, tr: &mut TableReader) {
-    if !minskew_obs::enabled() {
-        return;
-    }
-    let Some(routed) = tr.reader.routed_shards() else {
-        return;
-    };
-    if tr.shard_counters.len() < routed.len() {
-        let table = minskew_obs::name_component(name);
-        for s in tr.shard_counters.len()..routed.len() {
-            tr.shard_counters.push(
-                ctx.registry
-                    .counter(&format!("serve.table.{table}.shard.{s}.routed")),
-            );
-        }
-    }
-    for (s, &hit) in routed.iter().enumerate() {
-        if hit {
-            tr.shard_counters[s].inc();
-        }
-    }
-}
-
-/// Adds the per-shard routed totals of the most recent batch into
-/// `serve.table.<t>.shard.<s>.routed`.
-fn note_batch_routing(ctx: &Arc<ServerCtx>, name: &str, tr: &mut TableReader) {
-    if !minskew_obs::enabled() {
-        return;
-    }
-    let routed = tr.reader.batch_shard_routing();
-    if routed.is_empty() {
-        return;
-    }
-    if tr.shard_counters.len() < routed.len() {
-        let table = minskew_obs::name_component(name);
-        for s in tr.shard_counters.len()..routed.len() {
-            tr.shard_counters.push(
-                ctx.registry
-                    .counter(&format!("serve.table.{table}.shard.{s}.routed")),
-            );
-        }
-    }
-    for (s, &hits) in routed.iter().enumerate() {
-        tr.shard_counters[s].add(hits);
-    }
 }
 
 fn cmd_estimate(ctx: &Arc<ServerCtx>, conn: &mut ConnState, args: &[&str], tid: &str) -> Reply {
@@ -696,18 +632,18 @@ fn cmd_estimate(ctx: &Arc<ServerCtx>, conn: &mut ConnState, args: &[&str], tid: 
         Ok(r) => r,
         Err(reply) => return reply,
     };
-    let tr = match conn_reader(ctx, conn, name) {
-        Ok(tr) => tr,
+    let reader = match conn_reader(ctx, conn, name) {
+        Ok(reader) => reader,
         Err(reply) => return reply,
     };
     let mut clock = Stopwatch::start();
-    match tr.reader.try_estimate(&rect) {
+    match reader.try_estimate(&rect) {
         Ok(value) => {
             // The reply value is already fixed: recording can only observe.
             let latency_ns = clock.lap();
-            note_routing(ctx, name, tr);
+            reader.publish_counts();
             ctx.bump("serve.estimates");
-            ctx.note_wire_flight(tid, &rect, value, latency_ns, tr.reader.generation());
+            ctx.note_wire_flight(tid, &rect, value, latency_ns, reader.generation());
             ok(value)
         }
         Err(e) => err(2, format_args!("usage: {e}")),
@@ -747,17 +683,16 @@ fn cmd_batch(ctx: &Arc<ServerCtx>, conn: &mut ConnState, args: &[&str]) -> Reply
             Err(reply) => return reply,
         }
     }
-    let tr = match conn_reader(ctx, conn, name) {
-        Ok(tr) => tr,
+    let reader = match conn_reader(ctx, conn, name) {
+        Ok(reader) => reader,
         Err(reply) => return reply,
     };
     // One Morton-ordered pass over one snapshot; replies come back in
     // request order and are bit-identical to a per-query loop.
-    let values = match tr.reader.try_estimate_batch(&queries) {
+    let values = match reader.try_estimate_batch(&queries) {
         Ok(values) => values,
         Err(e) => return err(2, format_args!("usage: {e}")),
     };
-    note_batch_routing(ctx, name, tr);
     let mut payload = String::with_capacity(values.len() * 8);
     for (i, value) in values.iter().enumerate() {
         if i > 0 {
@@ -818,9 +753,6 @@ fn trace_json(trace: &EstimateTrace) -> String {
         trace.clamped,
         json_str(trace.path.label()),
     );
-    if let EstimatePath::Sharded { shards } = trace.path {
-        let _ = write!(out, ",\"shards\":{shards}");
-    }
     let _ = write!(
         out,
         ",\"generation\":{},\"stats_era\":{},\"live\":{},\"cache\":{}",
@@ -879,11 +811,11 @@ fn cmd_explain(ctx: &Arc<ServerCtx>, conn: &mut ConnState, args: &[&str]) -> Rep
         Ok(r) => r,
         Err(reply) => return reply,
     };
-    let tr = match conn_reader(ctx, conn, name) {
-        Ok(tr) => tr,
+    let reader = match conn_reader(ctx, conn, name) {
+        Ok(reader) => reader,
         Err(reply) => return reply,
     };
-    match tr.reader.try_explain(&rect) {
+    match reader.try_explain(&rect) {
         Ok(trace) => {
             ctx.bump("serve.explains");
             ok(trace_json(&trace))
@@ -979,7 +911,7 @@ fn cmd_stats(ctx: &Arc<ServerCtx>, args: &[&str]) -> Reply {
                 let table = entry.table();
                 let snapshot = table.current_snapshot();
                 let diag = table.stats_diagnostics();
-                let buckets = snapshot.stats().map_or(0, |s| s.histogram().num_buckets());
+                let buckets = snapshot.stats().map_or(0, |s| s.num_buckets());
                 // Filter non-finite staleness: `{s:.6}` would otherwise
                 // print a bare `NaN`/`inf` token into the JSON reply.
                 let staleness = table
@@ -987,11 +919,10 @@ fn cmd_stats(ctx: &Arc<ServerCtx>, args: &[&str]) -> Reply {
                     .filter(|s| s.is_finite())
                     .map_or_else(|| String::from("null"), |s| format!("{s:.6}"));
                 ok(format_args!(
-                    "{{\"table\":\"{name}\",\"rows\":{},\"buckets\":{buckets},\"shards\":{},\
+                    "{{\"table\":\"{name}\",\"rows\":{},\"buckets\":{buckets},\
                      \"generation\":{},\"fallback\":\"{}\",\"maintenance\":\"{}\",\
                      \"staleness\":{staleness}}}",
                     table.len(),
-                    snapshot.num_shards(),
                     snapshot.generation(),
                     diag.fallback,
                     table.maintenance_mode(),
@@ -1058,23 +989,10 @@ fn cmd_snapshot(ctx: &Arc<ServerCtx>, args: &[&str]) -> Reply {
 mod tests {
     use super::*;
 
-    /// A test context with the wire flight recorder sized by `options`
-    /// exactly as [`serve`] sizes it.
+    /// A test context over an empty catalog, built exactly as [`serve`]
+    /// builds it.
     fn test_ctx(options: ServeOptions) -> Arc<ServerCtx> {
-        let flight_capacity = if options.table_options.metrics {
-            options.table_options.flight_capacity
-        } else {
-            0
-        };
-        Arc::new(ServerCtx {
-            catalog: Arc::new(SpatialCatalog::new()),
-            options,
-            registry: Registry::new(),
-            shutdown: AtomicBool::new(false),
-            active: AtomicU64::new(0),
-            flight: FlightRecorder::new(flight_capacity),
-            wire_estimates: AtomicU64::new(0),
-        })
+        Arc::new(ServerCtx::new(Arc::new(SpatialCatalog::new()), options))
     }
 
     fn line(ctx: &Arc<ServerCtx>, conn: &mut ConnState, req: &str) -> String {
@@ -1101,9 +1019,7 @@ mod tests {
     #[test]
     fn dispatch_maps_errors_to_the_exit_code_taxonomy() {
         let ctx = test_ctx(ServeOptions::default());
-        let mut conn = ConnState {
-            readers: std::collections::HashMap::new(),
-        };
+        let mut conn = ConnState::default();
         assert_eq!(line(&ctx, &mut conn, "PING"), "OK pong");
         assert_eq!(line(&ctx, &mut conn, "TABLES"), "OK 0");
         assert!(line(&ctx, &mut conn, "").starts_with("ERR 2 "));
@@ -1124,9 +1040,7 @@ mod tests {
     #[test]
     fn maintain_verb_runs_and_switches_modes() {
         let ctx = test_ctx(ServeOptions::default());
-        let mut conn = ConnState {
-            readers: std::collections::HashMap::new(),
-        };
+        let mut conn = ConnState::default();
         assert!(line(&ctx, &mut conn, "MAINTAIN").starts_with("ERR 2 "));
         assert!(line(&ctx, &mut conn, "MAINTAIN ghost").starts_with("ERR 2 "));
         assert_eq!(line(&ctx, &mut conn, "CREATE t"), "OK created t");
@@ -1155,9 +1069,7 @@ mod tests {
     #[test]
     fn trace_ids_echo_on_ok_and_err_but_malformed_never_echo() {
         let ctx = test_ctx(ServeOptions::default());
-        let mut conn = ConnState {
-            readers: std::collections::HashMap::new(),
-        };
+        let mut conn = ConnState::default();
         assert_eq!(line(&ctx, &mut conn, "TID=req-7 PING"), "TID=req-7 OK pong");
         assert_eq!(line(&ctx, &mut conn, "PING"), "OK pong", "no echo unasked");
         // Errors echo too, so the client can still join the reply.
@@ -1181,9 +1093,7 @@ mod tests {
     #[test]
     fn explain_matches_estimate_bitwise_and_carries_detail() {
         let ctx = test_ctx(ServeOptions::default());
-        let mut conn = ConnState {
-            readers: std::collections::HashMap::new(),
-        };
+        let mut conn = ConnState::default();
         assert_eq!(line(&ctx, &mut conn, "CREATE t"), "OK created t");
         for i in 0..200 {
             let x = f64::from(i % 20) * 5.0;
@@ -1214,9 +1124,7 @@ mod tests {
         let mut options = ServeOptions::default();
         options.table_options.flight_sample = 1; // record every estimate
         let ctx = test_ctx(options);
-        let mut conn = ConnState {
-            readers: std::collections::HashMap::new(),
-        };
+        let mut conn = ConnState::default();
         assert_eq!(line(&ctx, &mut conn, "CREATE t"), "OK created t");
         assert_eq!(line(&ctx, &mut conn, "INSERT t 0 0 1 1"), "OK 0");
         assert!(line(&ctx, &mut conn, "TID=q1 ESTIMATE t 0 0 2 2").starts_with("TID=q1 OK "));
@@ -1241,9 +1149,12 @@ mod tests {
         // Bounded drains keep the newest.
         let bounded = line(&ctx, &mut conn, "FLIGHT 1");
         assert!(bounded.starts_with("OK 1\n"), "{bounded:?}");
-        // Per-table recorders answer too (empty here: no slow/wrong/sampled
-        // engine-side records were produced).
-        assert_eq!(line(&ctx, &mut conn, "FLIGHT t"), "OK 0");
+        // The table's recorder sees wire traffic too: the connection's
+        // reader times its first estimate, which the armed `sampled`
+        // trigger records (engine records carry no trace id).
+        let table = line(&ctx, &mut conn, "FLIGHT t");
+        assert!(table.starts_with("OK 1\n"), "{table:?}");
+        assert!(table.contains("\"trigger\":\"sampled\""), "{table:?}");
         assert!(line(&ctx, &mut conn, "FLIGHT ghost").starts_with("ERR 2 "));
         assert!(line(&ctx, &mut conn, "FLIGHT t bogus").starts_with("ERR 2 "));
     }
@@ -1251,9 +1162,7 @@ mod tests {
     #[test]
     fn metrics_verb_scrapes_registries_live() {
         let ctx = test_ctx(ServeOptions::default());
-        let mut conn = ConnState {
-            readers: std::collections::HashMap::new(),
-        };
+        let mut conn = ConnState::default();
         assert_eq!(line(&ctx, &mut conn, "PING"), "OK pong");
         let reply = line(&ctx, &mut conn, "METRICS");
         let (head, body) = reply.split_once('\n').expect("framed");
@@ -1284,9 +1193,7 @@ mod tests {
     #[test]
     fn bare_stats_reports_request_latency_quantiles() {
         let ctx = test_ctx(ServeOptions::default());
-        let mut conn = ConnState {
-            readers: std::collections::HashMap::new(),
-        };
+        let mut conn = ConnState::default();
         assert_eq!(line(&ctx, &mut conn, "PING"), "OK pong");
         let stats = line(&ctx, &mut conn, "STATS");
         assert!(stats.starts_with("OK {\"tables\":0,"), "{stats:?}");

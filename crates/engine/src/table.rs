@@ -1,25 +1,21 @@
 //! The spatial table: storage, index, statistics, and the execution loop.
 
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use minskew_core::{
     build_uniform, try_build_equi_area, try_build_equi_count, try_build_uniform, BuildError,
     EstimateError, MinSkewBuilder, RefineObservation, RefineOptions, RefineReport,
-    ShardedHistogram, SpatialEstimator, SpatialHistogram, MAX_SHARDS,
+    SpatialEstimator, SpatialHistogram,
 };
 use minskew_data::Dataset;
 use minskew_geom::Rect;
-use minskew_obs::{
-    FlightRecorder, FlightTrigger, Gauge, Histogram, QueryRecord, Registry, Stopwatch,
-};
+use minskew_obs::{FlightRecorder, FlightTrigger, Gauge, QueryRecord, Stopwatch};
 use minskew_rtree::{RStarTree, RTreeConfig};
 
-use crate::cache::{cache_key, QueryCache};
-use crate::monitor::{AccuracyReport, Reservoir};
-use crate::publish::{
-    CacheDisposition, EstimateScratch, EstimateTrace, SnapshotCell, TableSnapshot,
-};
-use crate::reader::SpatialReader;
+use crate::monitor::AccuracyReport;
+use crate::publish::{EstimateScratch, EstimateTrace, SnapshotCell, TableSnapshot};
+use crate::reader::{SpatialReader, TableSink};
 use crate::{CostModel, Explain, Plan};
 
 /// Stable identifier of a row in a [`SpatialTable`].
@@ -187,17 +183,12 @@ pub struct TableOptions {
     /// one worker per available core. Results are bit-identical at every
     /// setting.
     pub threads: usize,
-    /// Enables the per-table query-result cache: repeated single-query
-    /// estimates with the same rectangle bits are answered from a bounded
-    /// LRU instead of re-scanning the histogram. The cache is invalidated
-    /// by every mutation (`insert`, `delete`, any statistics install), so a
-    /// cached value is always bit-identical to a fresh computation. Batch
-    /// estimation bypasses the cache (recorded in
-    /// [`StatsDiagnostics::batch_cache_bypass`]). Defaults to `true`.
-    pub query_cache: bool,
-    /// Capacity of the query-result cache in entries (applied at table
-    /// construction or via [`SpatialTable::set_query_cache`]). Defaults to
-    /// 1024 (~48 KiB).
+    /// Entries in each reader's query-result cache (`0` disables it): a
+    /// bounded LRU answering repeated single-query estimates with the same
+    /// rectangle bits, flushed by every publication, so a cached value is
+    /// always bit-identical to a fresh computation. The parallel
+    /// [`SpatialTable::estimate_batch`] bypasses it (recorded in
+    /// [`StatsDiagnostics::batch_cache_bypass`]). Defaults to 1024 (~48 KiB).
     pub query_cache_capacity: usize,
     /// Enables in-process metrics and the online accuracy monitor.
     ///
@@ -208,25 +199,21 @@ pub struct TableOptions {
     /// integer operations per call plus sampled stage timing (see
     /// [`TableOptions::metrics_sampling`]). Defaults to `true`.
     pub metrics: bool,
-    /// Sample one in this many single-query estimates for stage timing
-    /// (cache probe → index scan → clamp) and per-technique latency
-    /// histograms. Rounded up to a power of two; values `<= 1` time every
-    /// call. Unsampled calls never read the clock. Defaults to 256.
+    /// Sample one in this many single-query estimates (per reader) for
+    /// stage timing (cache probe → index scan → clamp) and per-technique
+    /// latency histograms. Rounded up to a power of two; values `<= 1` time
+    /// every call. Unsampled calls never read the clock. Defaults to 256.
     pub metrics_sampling: u32,
     /// Capacity of the accuracy monitor's query reservoir (`0` disables the
-    /// monitor). The serving path samples computed queries into the
-    /// reservoir; [`SpatialTable::audit_accuracy`] replays them against
-    /// exact index counts. Defaults to 256.
+    /// monitor). Every reader of the table — the wire's included — samples
+    /// the queries it computes into the reservoir;
+    /// [`SpatialTable::audit_accuracy`] replays them against exact index
+    /// counts. Defaults to 256.
     pub accuracy_reservoir: usize,
     /// Average relative error (the paper's §5 metric, `Σ|r−e| / Σr`) above
     /// which [`SpatialTable::audit_accuracy`] reports drift and recommends
     /// re-`ANALYZE`. Defaults to 0.5.
     pub accuracy_drift_threshold: f64,
-    /// Number of spatial shards the published statistics are partitioned
-    /// into (see [`minskew_core::ShardedHistogram`]). `1` (the default)
-    /// serves unsharded. Sharding is a concurrency/locality knob only:
-    /// every estimate is **bit-identical** at every shard count.
-    pub shards: usize,
     /// How [`SpatialTable::maintain`] repairs drifted statistics. Defaults
     /// to [`MaintenanceMode::DriftReAnalyze`] (the pre-refine behaviour);
     /// [`MaintenanceMode::OnlineRefine`] repairs in place from query
@@ -267,13 +254,11 @@ impl Default for TableOptions {
             auto_analyze_threshold: Some(0.2),
             index_fanout: 16,
             threads: 1,
-            query_cache: true,
             query_cache_capacity: 1024,
             metrics: true,
             metrics_sampling: 256,
             accuracy_reservoir: 256,
             accuracy_drift_threshold: 0.5,
-            shards: 1,
             maintenance: MaintenanceMode::default(),
             flight_capacity: 256,
             flight_slow_ns: 1_000_000,
@@ -345,9 +330,10 @@ pub struct StatsDiagnostics {
     pub attempts: usize,
     /// The error that forced degradation, if any.
     pub last_error: Option<String>,
-    /// Query-cache hits since the table was created (or the cache was
-    /// reconfigured). Counted by [`SpatialTable::estimate`] /
-    /// [`SpatialTable::try_estimate`]. Batch traffic never shows up here —
+    /// Query-cache hits of the table's own reader ([`SpatialTable::estimate`]
+    /// / [`SpatialTable::try_estimate`]) since the table was created (or the
+    /// cache was reconfigured); minted readers count into the
+    /// `engine.cache.*` metrics only. Batch traffic never shows up here —
     /// it is tallied separately in [`StatsDiagnostics::batch_queries`] /
     /// [`StatsDiagnostics::batch_cache_bypass`], which is why
     /// `hits + misses` need not equal the total queries served.
@@ -394,109 +380,6 @@ impl std::fmt::Display for StatsDiagnostics {
     }
 }
 
-/// Per-table serving state: the query-result cache, the reusable index
-/// scratch for single-query estimates, and the per-call bookkeeping that is
-/// cheap precisely because the serving lock is already held — plain `u64`
-/// arithmetic, no atomics, no clock reads. Behind a [`Mutex`] so `&self`
-/// estimation stays `Sync` (batch workers use their own scratch and never
-/// touch this lock).
-#[derive(Debug)]
-struct ServingState {
-    cache: QueryCache,
-    scratch: EstimateScratch,
-    /// Publication generation the cache's entries were filled under; a
-    /// mismatch with the table's current generation flushes before any
-    /// probe, making cache invalidation atomic with snapshot publication
-    /// by construction (not by remembering to call a flush).
-    seen_generation: u64,
-    /// Data era the reservoir's cached exact counts were replayed under.
-    /// Row churn advances the table's data era, which invalidates the
-    /// cached exact counts (they are no longer exact) but keeps the
-    /// sampled queries resident — the workload is as representative as
-    /// before, and the sample surviving churn is precisely what lets the
-    /// audit *detect* the drift the churn caused. Statistics installs do
-    /// not touch the reservoir at all: a refine install must retain the
-    /// replayed (query, exact) pairs it was driven by.
-    seen_era: u64,
-    /// Single-query estimates served (cached or computed).
-    calls: u64,
-    /// Of `calls`, how many took the sampled stage-timing path.
-    sampled: u64,
-    /// Batch API invocations.
-    batch_calls: u64,
-    /// Queries served through the batch APIs.
-    batch_queries: u64,
-    /// Of `batch_queries`, how many bypassed an enabled query cache.
-    batch_bypass: u64,
-    /// Accuracy-monitor reservoir of computed (non-cache-hit) queries.
-    reservoir: Reservoir,
-    /// High-water marks already published into the registry; publication is
-    /// delta-based so it can run on every read without double counting.
-    published: PublishedCounters,
-}
-
-impl ServingState {
-    fn new(options: &TableOptions) -> ServingState {
-        ServingState {
-            cache: QueryCache::new(if options.query_cache {
-                options.query_cache_capacity
-            } else {
-                0
-            }),
-            scratch: EstimateScratch::new(),
-            seen_generation: 0,
-            seen_era: 0,
-            calls: 0,
-            sampled: 0,
-            batch_calls: 0,
-            batch_queries: 0,
-            batch_bypass: 0,
-            reservoir: Reservoir::new(if options.metrics {
-                options.accuracy_reservoir
-            } else {
-                0
-            }),
-            published: PublishedCounters::default(),
-        }
-    }
-}
-
-/// Registry-published high-water marks for the serving counters.
-#[derive(Debug, Default)]
-struct PublishedCounters {
-    calls: u64,
-    sampled: u64,
-    batch_calls: u64,
-    batch_queries: u64,
-    batch_bypass: u64,
-    cache_hits: u64,
-    cache_misses: u64,
-    cache_invalidations: u64,
-}
-
-/// The hot-path latency histograms, resolved once at table construction so
-/// sampled calls record through the `Arc` without a registry lookup.
-#[derive(Debug)]
-struct TableMetrics {
-    cache_probe_ns: Arc<Histogram>,
-    index_scan_ns: Arc<Histogram>,
-    clamp_ns: Arc<Histogram>,
-    /// Current publication generation, resolved once so the per-mutation
-    /// publish path avoids a registry lookup.
-    generation: Arc<Gauge>,
-}
-
-impl TableMetrics {
-    fn new(registry: &Registry) -> TableMetrics {
-        TableMetrics {
-            cache_probe_ns: registry.histogram("engine.query.cache_probe_ns"),
-            index_scan_ns: registry.histogram("engine.query.index_scan_ns"),
-            clamp_ns: registry.histogram("engine.query.clamp_ns"),
-            generation: registry.gauge("engine.stats.generation"),
-        }
-    }
-}
-
 /// A spatial table: rows of rectangles with a stable id, an R\*-tree index,
 /// and optimizer statistics.
 pub struct SpatialTable {
@@ -508,28 +391,26 @@ pub struct SpatialTable {
     index: RStarTree<u64>,
     stats: Option<SpatialHistogram>,
     pub(crate) diagnostics: StatsDiagnostics,
-    serving: Mutex<ServingState>,
-    /// Per-table metrics registry (see [`SpatialTable::metrics`]).
-    pub(crate) registry: Registry,
-    metrics: TableMetrics,
-    /// Monotonic publication counter; bumped by every mutation.
-    generation: u64,
-    /// Monotonic statistics-install counter; bumped by installs only.
-    stats_era: u64,
-    /// Monotonic data-churn counter; bumped by row inserts/deletes only.
-    /// Keys the validity of the accuracy reservoir's cached exact counts
-    /// (see [`ServingState::seen_era`]).
-    data_era: u64,
-    /// The latest published snapshot (the same `Arc` the cell holds); the
-    /// table's own serving path estimates against it so locked and
-    /// lock-free readers agree structurally, not by parallel maintenance.
+    /// The table's own reader for single-query estimates and EXPLAIN,
+    /// behind a [`Mutex`] so `&self` estimation stays `Sync`.
+    serving: Mutex<SpatialReader>,
+    /// The sink shared with every reader of this table: the metrics
+    /// registry (see [`SpatialTable::metrics`]), the accuracy reservoir,
+    /// and the flight recorder.
+    pub(crate) sink: Arc<TableSink>,
+    /// `engine.stats.generation`, resolved once so the per-mutation
+    /// publish path avoids a registry lookup.
+    generation_gauge: Arc<Gauge>,
+    /// The latest published snapshot (the same `Arc` the cell holds); it
+    /// carries the publication generation and the statistics era.
     current: Arc<TableSnapshot>,
-    /// The publication cell lock-free readers subscribe to.
+    /// The publication cell readers subscribe to.
     cell: Arc<SnapshotCell<TableSnapshot>>,
-    /// The table's flight recorder: slow / wrong / sampled query records
-    /// (see [`TableOptions::flight_capacity`]). Shared by `Arc` so the
-    /// server can drain it without the table lock.
-    flight: Arc<FlightRecorder>,
+    /// Queries served through the parallel batch APIs, and how many of
+    /// them bypassed an enabled query cache (plain bookkeeping for
+    /// [`StatsDiagnostics`], independent of the metrics switch).
+    batch_queries: AtomicU64,
+    batch_bypass: AtomicU64,
 }
 
 impl std::fmt::Debug for SpatialTable {
@@ -538,9 +419,8 @@ impl std::fmt::Debug for SpatialTable {
             .field("live", &self.live)
             .field("rows", &self.rows.len())
             .field("has_stats", &self.stats.is_some())
-            .field("generation", &self.generation)
-            .field("stats_era", &self.stats_era)
-            .field("shards", &self.options.shards)
+            .field("generation", &self.current.generation())
+            .field("stats_era", &self.current.stats_era())
             .finish_non_exhaustive()
     }
 }
@@ -568,38 +448,23 @@ impl SpatialTable {
         if options.analyze.buckets == 0 {
             return Err(BuildError::ZeroBucketBudget);
         }
-        if options.shards == 0 || options.shards > MAX_SHARDS {
-            return Err(BuildError::InvalidConfig(format!(
-                "shards must be in 1..={MAX_SHARDS}, got {}",
-                options.shards
-            )));
-        }
-        let registry = Registry::new();
-        let metrics = TableMetrics::new(&registry);
+        let sink = Arc::new(TableSink::new(&options));
         let current = Arc::new(TableSnapshot::new(0, 0, 0, None, None));
         let cell = Arc::new(SnapshotCell::new(current.clone()));
-        // Metrics off ⇒ no recording at all; sizing the ring to zero makes
-        // that structural instead of a per-call check.
-        let flight = Arc::new(FlightRecorder::new(if options.metrics {
-            options.flight_capacity
-        } else {
-            0
-        }));
+        let serving = SpatialReader::new(cell.clone(), sink.clone(), options.query_cache_capacity);
         Ok(SpatialTable {
             rows: Vec::new(),
             live: 0,
             index: RStarTree::new(config),
             stats: None,
             diagnostics: StatsDiagnostics::default(),
-            serving: Mutex::new(ServingState::new(&options)),
-            registry,
-            metrics,
-            generation: 0,
-            stats_era: 0,
-            data_era: 0,
+            serving: Mutex::new(serving),
+            generation_gauge: sink.registry.gauge("engine.stats.generation"),
+            sink,
             current,
             cell,
-            flight,
+            batch_queries: AtomicU64::new(0),
+            batch_bypass: AtomicU64::new(0),
             options,
         })
     }
@@ -607,25 +472,20 @@ impl SpatialTable {
     /// Publishes the table's current serving state as an immutable
     /// snapshot: readers obtained via [`SpatialTable::reader`] observe it
     /// atomically (the whole snapshot or the previous one, never a mix).
-    /// Called by every path that changes what an estimate could return.
-    fn publish(&mut self) {
-        self.generation += 1;
-        let stats = self
-            .stats
-            .as_ref()
-            .map(|h| Arc::new(ShardedHistogram::build(h.clone(), self.options.shards)));
+    /// Called by every path that changes what an estimate could return;
+    /// statistics installs (`new_stats`) also start a new statistics era.
+    fn publish(&mut self, new_stats: bool) {
+        let generation = self.current.generation() + 1;
+        let stats_era = self.current.stats_era() + u64::from(new_stats);
+        let stats = self.stats.as_ref().map(|h| Arc::new(h.clone()));
         let mbr = (self.live > 0).then(|| self.index.mbr());
         let snapshot = Arc::new(TableSnapshot::new(
-            self.generation,
-            self.stats_era,
-            self.live,
-            mbr,
-            stats,
+            generation, stats_era, self.live, mbr, stats,
         ));
         self.current = snapshot.clone();
         self.cell.store(snapshot);
         if self.options.metrics && minskew_obs::enabled() {
-            self.metrics.generation.set(self.generation as f64);
+            self.generation_gauge.set(generation as f64);
         }
     }
 
@@ -633,24 +493,22 @@ impl SpatialTable {
     /// `estimate` on the handle never takes the table's serving lock and
     /// never blocks on `ANALYZE`/mutations, yet is bit-identical to
     /// [`SpatialTable::estimate`] against the same publication. Readers
-    /// carry their own scratch and their own generation-keyed query cache;
-    /// any number may run concurrently with each other and with a writer.
+    /// carry their own scratch and their own generation-keyed query cache
+    /// (of [`TableOptions::query_cache_capacity`] entries) and report into
+    /// this table's shared metrics, reservoir and flight recorder; any
+    /// number may run concurrently with each other and with a writer.
     pub fn reader(&self) -> SpatialReader {
         SpatialReader::new(
             self.cell.clone(),
-            if self.options.query_cache {
-                self.options.query_cache_capacity
-            } else {
-                0
-            },
+            self.sink.clone(),
+            self.options.query_cache_capacity,
         )
     }
 
-    /// The publication cell behind [`SpatialTable::reader`], for callers
-    /// that need to hand out readers without holding the table (e.g. the
-    /// catalog's connection handlers).
-    pub fn snapshot_cell(&self) -> Arc<SnapshotCell<TableSnapshot>> {
-        self.cell.clone()
+    /// The table's own reader. A poisoned lock only means some estimating
+    /// thread panicked; the reader's state is plain values.
+    fn serving(&self) -> MutexGuard<'_, SpatialReader> {
+        self.serving.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The most recently published snapshot.
@@ -660,19 +518,7 @@ impl SpatialTable {
 
     /// Current publication generation (bumped by every mutation).
     pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Drops every cached estimate. Called by every path that changes what
-    /// an estimate could return: row mutations and statistics installs.
-    fn invalidate_cache(&mut self) {
-        // A poisoned lock only means some estimating thread panicked; the
-        // cache itself is a plain value and flushing it is always safe.
-        self.serving
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner)
-            .cache
-            .invalidate();
+        self.current.generation()
     }
 
     /// Number of live rows.
@@ -702,9 +548,10 @@ impl SpatialTable {
         if let Some(stats) = &mut self.stats {
             stats.note_insert(&rect);
         }
-        self.data_era += 1;
-        self.invalidate_cache();
-        self.publish();
+        // Churn makes the reservoir's cached exact counts inexact; the
+        // sampled queries stay resident (see the `monitor` module).
+        self.sink.reservoir().invalidate_exact();
+        self.publish(false);
         RowId(id)
     }
 
@@ -723,9 +570,8 @@ impl SpatialTable {
         if let Some(stats) = &mut self.stats {
             stats.note_delete(&rect);
         }
-        self.data_era += 1;
-        self.invalidate_cache();
-        self.publish();
+        self.sink.reservoir().invalidate_exact();
+        self.publish(false);
         true
     }
 
@@ -763,43 +609,42 @@ impl SpatialTable {
     }
 
     /// Installs `hist` and records how it was obtained. New statistics mean
-    /// new estimates, so the query cache is flushed here — this covers
-    /// `analyze`, `try_analyze`, `load_stats`, and auto-`ANALYZE` alike.
+    /// new estimates, so a new snapshot generation is published here —
+    /// this covers `analyze`, `try_analyze`, `load_stats`, and
+    /// auto-`ANALYZE` alike.
     pub(crate) fn install_stats(&mut self, hist: SpatialHistogram, mut diag: StatsDiagnostics) {
         diag.requested_buckets = self.options.analyze.buckets;
         diag.achieved_buckets = hist.buckets().len();
         if self.options.metrics && minskew_obs::enabled() {
             // Degradation-ladder outcome counters: one per fallback rung, so
             // a fleet of tables exposes how often ANALYZE lands where.
-            self.registry
+            self.sink
+                .registry
                 .counter(&format!(
                     "engine.analyze.fallback.{}",
                     diag.fallback.label()
                 ))
                 .inc();
-            self.registry
+            self.sink
+                .registry
                 .gauge("engine.stats.buckets")
                 .set(diag.achieved_buckets as f64);
-            self.registry
+            self.sink
+                .registry
                 .gauge("engine.stats.bytes")
                 .set(hist.size_bytes() as f64);
         }
         self.stats = Some(hist);
         self.diagnostics = diag;
-        // A statistics install starts a new era: flush the query cache
-        // *before* publishing, so no path — locked or lock-free — can pair
-        // the new statistics with state from the old ones. The
-        // era/generation stamps in the published snapshot enforce the same
-        // discipline on every reader cache. The accuracy reservoir is
-        // deliberately **not** cleared: its sample is of the served
-        // workload (still representative) and its cached exact counts are
-        // a property of the *data*, not of the statistics — they are keyed
-        // to the data era and survive any install. Clearing here would
-        // discard exactly the feedback pairs the online refiner needs on
-        // its next pass.
-        self.stats_era += 1;
-        self.invalidate_cache();
-        self.publish();
+        // A statistics install starts a new era. The generation stamp in
+        // the published snapshot flushes every reader cache before its
+        // next probe, so no reader can pair the new statistics with state
+        // from the old ones. The accuracy reservoir is deliberately **not**
+        // cleared: its sample is of the served workload (still
+        // representative) and its cached exact counts are a property of
+        // the *data*, not of the statistics. Clearing here would discard
+        // exactly the feedback pairs the online refiner needs next.
+        self.publish(true);
     }
 
     /// Records one completed `ANALYZE` in the registry: a run counter plus a
@@ -808,8 +653,9 @@ impl SpatialTable {
         if !self.options.metrics || !minskew_obs::enabled() {
             return;
         }
-        self.registry.counter("engine.analyze.runs").inc();
-        self.registry
+        self.sink.registry.counter("engine.analyze.runs").inc();
+        self.sink
+            .registry
             .histogram(&format!(
                 "engine.analyze.{}.build_ns",
                 minskew_obs::name_component(technique)
@@ -909,7 +755,10 @@ impl SpatialTable {
             Err(e) => {
                 let corrupt = e.to_string();
                 if self.options.metrics && minskew_obs::enabled() {
-                    self.registry.counter("engine.stats.corrupt_summary").inc();
+                    self.sink
+                        .registry
+                        .counter("engine.stats.corrupt_summary")
+                        .inc();
                 }
                 self.analyze();
                 // analyze() recorded its own outcome; stamp on top that the
@@ -927,16 +776,15 @@ impl SpatialTable {
 
     /// Diagnostics for the most recent statistics build or load, with the
     /// query-cache counters merged in. Returned by value: the counters live
-    /// with the cache behind the serving lock, so a borrow cannot carry
-    /// them.
+    /// with the table's reader behind the serving lock, so a borrow cannot
+    /// carry them.
     pub fn stats_diagnostics(&self) -> StatsDiagnostics {
-        let serving = self.serving.lock().unwrap_or_else(PoisonError::into_inner);
+        let serving = self.serving();
         let mut diag = self.diagnostics.clone();
-        diag.cache_hits = serving.cache.hits();
-        diag.cache_misses = serving.cache.misses();
-        diag.cache_invalidations = serving.cache.invalidations();
-        diag.batch_queries = serving.batch_queries;
-        diag.batch_cache_bypass = serving.batch_bypass;
+        (diag.cache_hits, diag.cache_misses) = serving.cache_stats();
+        diag.cache_invalidations = serving.cache_invalidations();
+        diag.batch_queries = self.batch_queries.load(Ordering::Relaxed);
+        diag.batch_cache_bypass = self.batch_bypass.load(Ordering::Relaxed);
         diag
     }
 
@@ -957,21 +805,16 @@ impl SpatialTable {
         self.options.analyze = analyze;
     }
 
-    /// Reconfigures the query-result cache: on/off and capacity. The cache
-    /// (and its hit/miss counters) is reset.
-    pub fn set_query_cache(&mut self, enabled: bool, capacity: usize) {
-        self.options.query_cache = enabled;
+    /// Reconfigures the table's query-result cache to `capacity` entries
+    /// (`0` disables it). The table's reader — its cache and its hit/miss
+    /// counters — is reset; readers minted later get the new capacity.
+    pub fn set_query_cache(&mut self, capacity: usize) {
         self.options.query_cache_capacity = capacity;
-        let serving = self
+        let reader = self.reader();
+        *self
             .serving
             .get_mut()
-            .unwrap_or_else(PoisonError::into_inner);
-        serving.cache = QueryCache::new(if enabled { capacity } else { 0 });
-        // The fresh cache restarts its counters from zero; reset their
-        // published high-water marks so later deltas stay non-negative.
-        serving.published.cache_hits = 0;
-        serving.published.cache_misses = 0;
-        serving.published.cache_invalidations = 0;
+            .unwrap_or_else(PoisonError::into_inner) = reader;
     }
 
     /// Estimated result size for `query`, falling back to the global
@@ -986,217 +829,24 @@ impl SpatialTable {
 
     /// Estimated result size for `query`, rejecting non-finite queries
     /// instead of guessing. The `Ok` value is finite and within `[0, N]`.
-    ///
-    /// Serving path: the estimate goes through the histogram's
-    /// [`minskew_core::BucketIndex`] (sub-linear in the bucket count,
-    /// bit-identical to the linear scan) and, when
-    /// [`TableOptions::query_cache`] is on, through the per-table LRU —
-    /// also bit-identical, because every mutation flushes it.
+    /// Serves through the table's own reader; see
+    /// [`SpatialReader::try_estimate`].
     pub fn try_estimate(&self, query: &Rect) -> Result<f64, EstimateError> {
-        if !query.is_finite() {
-            return Err(EstimateError::NonFiniteQuery);
-        }
-        let mut guard = self.serving.lock().unwrap_or_else(PoisonError::into_inner);
-        let serving = &mut *guard;
-        // Sync with the published snapshot before any cache probe: a stale
-        // generation flushes the cache, a stale data era invalidates the
-        // reservoir's cached exact counts (churn made them inexact — the
-        // sampled queries themselves stay resident). Mutations also flush
-        // eagerly (they hold `&mut self`), so this is normally a no-op —
-        // it exists so cache coherence is a property of publication itself
-        // rather than of every mutation path remembering to flush.
-        if serving.seen_generation != self.generation {
-            serving.cache.invalidate();
-            serving.seen_generation = self.generation;
-        }
-        if serving.seen_era != self.data_era {
-            serving.reservoir.invalidate_exact();
-            serving.seen_era = self.data_era;
-        }
-        serving.calls += 1;
-        if !self.options.metrics || !minskew_obs::enabled() {
-            // Metrics off: the original serving path, untouched. The counter
-            // bump above is a plain u64 add under the already-held lock.
-            if !self.options.query_cache {
-                return Ok(self.estimate_finite(query, &mut serving.scratch));
-            }
-            let key = cache_key(query);
-            if let Some(cached) = serving.cache.get(&key) {
-                return Ok(cached);
-            }
-            let value = self.estimate_finite(query, &mut serving.scratch);
-            serving.cache.insert(key, value);
-            return Ok(value);
-        }
-        // Metrics on: 1-in-`metrics_sampling` calls take the timed path;
-        // the rest run the exact same estimator functions with counter-only
-        // bookkeeping (crucially: no clock reads off the sampled path).
-        let mask = u64::from(self.options.metrics_sampling.max(1)).next_power_of_two() - 1;
-        if (serving.calls - 1) & mask == 0 {
-            serving.sampled += 1;
-            return Ok(self.estimate_timed(query, serving));
-        }
-        if !self.options.query_cache {
-            let value = self.estimate_finite(query, &mut serving.scratch);
-            serving.reservoir.observe(*query);
-            return Ok(value);
-        }
-        let key = cache_key(query);
-        if let Some(cached) = serving.cache.get(&key) {
-            return Ok(cached);
-        }
-        let value = self.estimate_finite(query, &mut serving.scratch);
-        serving.cache.insert(key, value);
-        serving.reservoir.observe(*query);
-        Ok(value)
+        self.serving().try_estimate(query)
     }
 
-    /// The sampled serving path: same functions in the same order as the
-    /// unsampled path (so the result is bit-identical), with a [`Stopwatch`]
-    /// lap between stages feeding the `engine.query.*_ns` histograms.
-    ///
-    /// This is also where the flight recorder's `slow` and `sampled`
-    /// triggers live: only sampled calls read the clock, so slow-query
-    /// detection rides this path and the unsampled fast path stays exactly
-    /// as it was. Recording happens strictly after the value is computed
-    /// and only writes the ring's atomics — bit-invisible by construction.
-    fn estimate_timed(&self, query: &Rect, serving: &mut ServingState) -> f64 {
-        let mut clock = Stopwatch::start();
-        if self.options.query_cache {
-            let key = cache_key(query);
-            let cached = serving.cache.get(&key);
-            self.metrics.cache_probe_ns.record(clock.lap());
-            if let Some(value) = cached {
-                // A cache hit cannot be slow and carries no scan evidence;
-                // it is never flight-recorded.
-                return value;
-            }
-            let raw = self.estimate_raw(query, &mut serving.scratch);
-            self.metrics.index_scan_ns.record(clock.lap());
-            let value = self.clamp_estimate(raw);
-            self.metrics.clamp_ns.record(clock.lap());
-            let total_ns = clock.total();
-            self.record_estimate_latency(total_ns);
-            self.note_flight(query, value, total_ns, serving.sampled);
-            serving.cache.insert(key, value);
-            serving.reservoir.observe(*query);
-            return value;
-        }
-        let raw = self.estimate_raw(query, &mut serving.scratch);
-        self.metrics.index_scan_ns.record(clock.lap());
-        let value = self.clamp_estimate(raw);
-        self.metrics.clamp_ns.record(clock.lap());
-        let total_ns = clock.total();
-        self.record_estimate_latency(total_ns);
-        self.note_flight(query, value, total_ns, serving.sampled);
-        serving.reservoir.observe(*query);
-        value
-    }
-
-    /// Offers one computed, timed estimate to the flight recorder: `slow`
-    /// when the latency threshold fires, else a 1-in-N `sampled` baseline
-    /// record. Table-level records carry no trace id (wire records, which
-    /// do, are captured by the server).
-    fn note_flight(&self, query: &Rect, estimate: f64, latency_ns: u64, sampled: u64) {
-        if self.flight.capacity() == 0 {
-            return;
-        }
-        let slow = self.options.flight_slow_ns > 0 && latency_ns >= self.options.flight_slow_ns;
-        // `sampled` is the 1-based index of this call within the timed
-        // stream, so `(sampled - 1) % N == 0` captures the 1st, N+1th, ….
-        let trigger = if slow {
-            FlightTrigger::Slow
-        } else if self.options.flight_sample > 0
-            && (sampled.wrapping_sub(1)).is_multiple_of(u64::from(self.options.flight_sample))
-        {
-            FlightTrigger::Sampled
-        } else {
-            return;
-        };
-        self.flight.record(&QueryRecord {
-            trigger,
-            tid: String::new(),
-            query: [query.lo.x, query.lo.y, query.hi.x, query.hi.y],
-            estimate,
-            exact: None,
-            latency_ns,
-            generation: self.generation,
-        });
-    }
-
-    /// [`SpatialTable::try_estimate`] with the evidence attached: which
-    /// serving path ran, what the cache would have done, per-bucket
-    /// contributions, extension-rule inputs, and pruning counters. The
-    /// trace's headline estimate is **bit-identical** to `try_estimate`
-    /// for the same query — EXPLAIN recomputes through the identical
-    /// serving path and never inserts into (or evicts from) the query
-    /// cache, so tracing perturbs nothing.
+    /// [`SpatialTable::try_estimate`] with the evidence attached; see
+    /// [`SpatialReader::try_explain`].
     pub fn try_explain(&self, query: &Rect) -> Result<EstimateTrace, EstimateError> {
-        if !query.is_finite() {
-            return Err(EstimateError::NonFiniteQuery);
-        }
-        let mut guard = self.serving.lock().unwrap_or_else(PoisonError::into_inner);
-        let serving = &mut *guard;
-        if serving.seen_generation != self.generation {
-            serving.cache.invalidate();
-            serving.seen_generation = self.generation;
-        }
-        let cached = self.options.query_cache && serving.cache.get(&cache_key(query)).is_some();
-        serving.scratch.used_router = false;
-        let mut trace = self.current.explain(query, &mut serving.scratch);
-        trace.cache = if !self.options.query_cache {
-            CacheDisposition::Bypassed
-        } else if cached {
-            CacheDisposition::Hit
-        } else {
-            CacheDisposition::Miss
-        };
-        Ok(trace)
+        self.serving().try_explain(query)
     }
 
     /// The table's flight recorder: the ring of slow / wrong / sampled
-    /// query records (see [`TableOptions::flight_capacity`]). The `Arc`
-    /// lets a server drain records without holding the table lock.
+    /// query records (see [`TableOptions::flight_capacity`]), fed by every
+    /// reader of the table. The `Arc` lets a server drain records without
+    /// holding the table lock.
     pub fn flight_recorder(&self) -> Arc<FlightRecorder> {
-        Arc::clone(&self.flight)
-    }
-
-    /// Records a sampled end-to-end estimate latency into the per-technique
-    /// histogram `engine.estimate.<technique>.ns`.
-    fn record_estimate_latency(&self, ns: u64) {
-        let technique = match &self.stats {
-            Some(stats) => minskew_obs::name_component(stats.name()),
-            None => String::from("fallback"),
-        };
-        self.registry
-            .histogram(&format!("engine.estimate.{technique}.ns"))
-            .record(ns);
-    }
-
-    /// The uncached estimator core for a query already validated finite.
-    /// All serving entry points (single-query, batch, planner) funnel here,
-    /// so they agree bit for bit.
-    fn estimate_finite(&self, query: &Rect, scratch: &mut EstimateScratch) -> f64 {
-        self.clamp_estimate(self.estimate_raw(query, scratch))
-    }
-
-    /// The raw (unclamped) estimate, computed against the current published
-    /// [`TableSnapshot`] — the same object lock-free readers load — so the
-    /// locked and lock-free serving paths agree by construction. Routes
-    /// through the shard router when [`TableOptions::shards`] > 1, the
-    /// bucket index otherwise; both are bit-identical to the linear scan.
-    fn estimate_raw(&self, query: &Rect, scratch: &mut EstimateScratch) -> f64 {
-        self.current.estimate_raw(query, scratch)
-    }
-
-    /// Clamp to `[0, N]`: degraded or stale statistics may over- or
-    /// under-shoot, but the bound always holds.
-    fn clamp_estimate(&self, raw: f64) -> f64 {
-        if raw.is_finite() {
-            raw.clamp(0.0, self.live as f64)
-        } else {
-            0.0
-        }
+        Arc::clone(&self.sink.flight)
     }
 
     /// Estimated result sizes for a batch of queries, fanned out across
@@ -1211,7 +861,7 @@ impl SpatialTable {
     /// the planner's bulk entry point (multi-query optimization, workload
     /// what-if analysis, auto-tuning sweeps).
     ///
-    /// Each worker reuses one [`IndexScratch`] across every query it
+    /// Each worker reuses one [`EstimateScratch`] across every query it
     /// serves, so the loop is allocation-free once the scratch warms up.
     /// The batch path bypasses the query cache — with per-worker scratch
     /// there is no shared state to lock — so cached single-query answers are
@@ -1222,8 +872,8 @@ impl SpatialTable {
     ///
     /// Internally the pool is evaluated in **Morton order** of the query
     /// centres ([`minskew_core::morton_schedule`]): consecutive queries are
-    /// spatial neighbours, so they touch the same index cells and the same
-    /// stretches of the SoA kernel plane instead of bouncing across it.
+    /// spatial neighbours, so they touch the same stretches of the SoA
+    /// kernel plane instead of bouncing across it.
     /// Each estimate is computed independently, so the schedule cannot move
     /// a bit; results are scattered back to input order before returning.
     pub fn estimate_batch(&self, queries: &[Rect]) -> Vec<f64> {
@@ -1239,7 +889,7 @@ impl SpatialTable {
             EstimateScratch::new,
             |scratch, q| {
                 if q.is_finite() {
-                    self.estimate_finite(q, scratch)
+                    self.current.estimate(q, scratch)
                 } else {
                     0.0
                 }
@@ -1254,110 +904,43 @@ impl SpatialTable {
 
     /// Strict counterpart of [`SpatialTable::estimate_batch`]: any
     /// non-finite query fails the whole batch instead of estimating zero.
-    ///
-    /// Validation runs as one upfront pass over the batch, so the worker
-    /// loop itself is branch-light; the reported error is the same
-    /// first-in-input-order failure the per-query loop would hit.
+    /// The reported error is the same first-in-input-order failure the
+    /// per-query loop would hit.
     pub fn try_estimate_batch(&self, queries: &[Rect]) -> Result<Vec<f64>, EstimateError> {
         if queries.iter().any(|q| !q.is_finite()) {
             return Err(EstimateError::NonFiniteQuery);
         }
-        self.note_batch(queries.len());
-        let order = minskew_core::morton_schedule(queries);
-        let sorted: Vec<Rect> = order.iter().map(|&i| queries[i as usize]).collect();
-        let results = minskew_par::map_chunks_queued_with(
-            self.options.threads,
-            64,
-            &sorted,
-            EstimateScratch::new,
-            |scratch, q| self.estimate_finite(q, scratch),
-        );
-        let mut out = vec![0.0f64; queries.len()];
-        for (&value, &i) in results.iter().zip(&order) {
-            out[i as usize] = value;
-        }
-        Ok(out)
+        Ok(self.estimate_batch(queries))
     }
 
     /// Records one batch invocation of `n` queries in the serving counters.
     fn note_batch(&self, n: usize) {
-        let mut serving = self.serving.lock().unwrap_or_else(PoisonError::into_inner);
-        serving.batch_calls += 1;
-        serving.batch_queries += n as u64;
-        if self.options.query_cache {
-            serving.batch_bypass += n as u64;
-        }
-    }
-
-    /// Publishes the serving counters into the per-table registry as deltas
-    /// over the previously published high-water marks. Runs only on metric
-    /// reads, never on the serving path.
-    fn publish_serving_metrics(&self, serving: &mut ServingState) {
-        if !self.options.metrics || !minskew_obs::enabled() {
-            return;
-        }
-        let calls = serving.calls;
-        let sampled = serving.sampled;
-        let batch_calls = serving.batch_calls;
-        let batch_queries = serving.batch_queries;
-        let batch_bypass = serving.batch_bypass;
-        let cache_hits = serving.cache.hits();
-        let cache_misses = serving.cache.misses();
-        let cache_invalidations = serving.cache.invalidations();
-        let published = &mut serving.published;
-        // `saturating_sub`: reconfiguring the cache resets its counters, so
-        // a current value may briefly sit below its published shadow.
-        let bump = |name: &str, current: u64, shadow: &mut u64| {
-            self.registry
-                .counter(name)
-                .add(current.saturating_sub(*shadow));
-            *shadow = current;
+        let bypass = if self.options.query_cache_capacity > 0 {
+            n as u64
+        } else {
+            0
         };
-        bump("engine.query.calls", calls, &mut published.calls);
-        bump("engine.query.sampled", sampled, &mut published.sampled);
-        bump(
-            "engine.batch.calls",
-            batch_calls,
-            &mut published.batch_calls,
-        );
-        bump(
-            "engine.batch.queries",
-            batch_queries,
-            &mut published.batch_queries,
-        );
-        bump(
-            "engine.batch.cache_bypass",
-            batch_bypass,
-            &mut published.batch_bypass,
-        );
-        bump("engine.cache.hits", cache_hits, &mut published.cache_hits);
-        bump(
-            "engine.cache.misses",
-            cache_misses,
-            &mut published.cache_misses,
-        );
-        bump(
-            "engine.cache.invalidations",
-            cache_invalidations,
-            &mut published.cache_invalidations,
-        );
+        self.batch_queries.fetch_add(n as u64, Ordering::Relaxed);
+        self.batch_bypass.fetch_add(bypass, Ordering::Relaxed);
+        if self.sink.metrics {
+            self.sink.batch_calls.inc();
+            self.sink.batch_queries.add(n as u64);
+            self.sink.batch_bypass.add(bypass);
+        }
     }
 
     /// A snapshot of this table's metrics registry (`engine.*` counters,
-    /// gauges, and latency histograms). Serving counters are published into
-    /// the registry lazily, on this read — the hot path only does plain
-    /// arithmetic under its own lock.
+    /// gauges, and latency histograms), covering the traffic of every
+    /// reader of this table (see [`SpatialReader`] for when a reader's
+    /// counts arrive).
     ///
     /// Build-time metrics (`core.build.*`) and parallel-runtime metrics
     /// (`par.*`) live in the process-wide [`minskew_obs::Registry::global`]
     /// registry, not here: they aggregate work that is not owned by any one
     /// table.
     pub fn metrics(&self) -> minskew_obs::RegistrySnapshot {
-        {
-            let mut serving = self.serving.lock().unwrap_or_else(PoisonError::into_inner);
-            self.publish_serving_metrics(&mut serving);
-        }
-        self.registry.snapshot()
+        self.serving().publish_counts();
+        self.sink.registry.snapshot()
     }
 
     /// This table's metrics as a self-describing JSON document
@@ -1366,30 +949,22 @@ impl SpatialTable {
         self.metrics().to_json()
     }
 
-    /// Replays the accuracy monitor's reservoir of sampled served queries
-    /// against exact index counts and reports the paper's §5 error metric
+    /// Replays the accuracy monitor's reservoir of sampled served queries —
+    /// computed by any reader of this table, the wire's included — against
+    /// exact index counts and reports the paper's §5 error metric
     /// `Σ|r_i − e_i| / Σ r_i` over that sample.
     ///
     /// Returns `None` when nothing has been sampled yet (metrics disabled,
     /// [`TableOptions::accuracy_reservoir`] zero, or no uncached queries
-    /// served since the last statistics install). The audit runs the exact
-    /// counts outside the serving lock, so concurrent estimates are not
-    /// blocked; it publishes `engine.accuracy.avg_rel_error` /
+    /// served yet). The audit runs the exact counts outside the reservoir
+    /// lock, so concurrent estimates are not blocked; it publishes
+    /// `engine.accuracy.avg_rel_error` /
     /// `engine.accuracy.samples` gauges and, on drift, bumps the
     /// `engine.accuracy.drift_detected` counter.
     pub fn audit_accuracy(&self) -> Option<AccuracyReport> {
         let (samples, observed) = {
-            let mut serving = self.serving.lock().unwrap_or_else(PoisonError::into_inner);
-            // Sync the data era first so any exact counts cached by a
-            // previous audit are dropped if churn made them inexact.
-            if serving.seen_era != self.data_era {
-                serving.reservoir.invalidate_exact();
-                serving.seen_era = self.data_era;
-            }
-            (
-                serving.reservoir.samples().to_vec(),
-                serving.reservoir.seen(),
-            )
+            let reservoir = self.sink.reservoir();
+            (reservoir.samples().to_vec(), reservoir.seen())
         };
         if samples.is_empty() {
             return None;
@@ -1404,7 +979,7 @@ impl SpatialTable {
             let actual = sample
                 .exact
                 .unwrap_or_else(|| self.index.count_intersecting(&sample.query) as f64);
-            let estimate = self.estimate_finite(&sample.query, &mut scratch);
+            let estimate = self.current.estimate(&sample.query, &mut scratch);
             exacts.push(actual);
             num += (actual - estimate).abs();
             den += actual;
@@ -1413,11 +988,11 @@ impl SpatialTable {
             // a `wrong` flight record so the offending query is
             // inspectable after the fact.
             let residual = (actual - estimate).abs() / actual.abs().max(1.0);
-            if self.flight.capacity() > 0
+            if self.sink.flight.capacity() > 0
                 && self.options.flight_residual > 0.0
                 && residual > self.options.flight_residual
             {
-                self.flight.record(&QueryRecord {
+                self.sink.flight.record(&QueryRecord {
                     trigger: FlightTrigger::Wrong,
                     tid: String::new(),
                     query: [
@@ -1429,20 +1004,20 @@ impl SpatialTable {
                     estimate,
                     exact: Some(actual),
                     latency_ns: 0,
-                    generation: self.generation,
+                    generation: self.current.generation(),
                 });
             }
         }
         // Cache the replayed exact counts back into the reservoir so the
         // online refiner (and the next audit) can reuse them. Mutations
-        // need `&mut self`, so the data era cannot have advanced since the
-        // sync above; individual slots may have rotated under concurrent
+        // need `&mut self`, so no row can have changed since the samples
+        // were copied; individual slots may have rotated under concurrent
         // estimates, which `record_exact` guards with a bit-exact query
         // match.
         {
-            let mut serving = self.serving.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut reservoir = self.sink.reservoir();
             for (i, (sample, &actual)) in samples.iter().zip(&exacts).enumerate() {
-                serving.reservoir.record_exact(i, &sample.query, actual);
+                reservoir.record_exact(i, &sample.query, actual);
             }
         }
         let avg_relative_error = num / den.max(1.0);
@@ -1455,14 +1030,17 @@ impl SpatialTable {
             recommend_reanalyze: drifted || self.stats_stale(),
         };
         if self.options.metrics && minskew_obs::enabled() {
-            self.registry
+            self.sink
+                .registry
                 .gauge("engine.accuracy.avg_rel_error")
                 .set(avg_relative_error);
-            self.registry
+            self.sink
+                .registry
                 .gauge("engine.accuracy.samples")
                 .set(samples.len() as f64);
             if drifted {
-                self.registry
+                self.sink
+                    .registry
                     .counter("engine.accuracy.drift_detected")
                     .inc();
             }
@@ -1519,7 +1097,7 @@ impl SpatialTable {
             .as_ref()
             .map_or_else(|| self.stats_stale(), |report| report.recommend_reanalyze);
         if self.options.metrics && minskew_obs::enabled() {
-            self.registry.counter("engine.maintenance.runs").inc();
+            self.sink.registry.counter("engine.maintenance.runs").inc();
         }
         let action = if !needs_repair || self.options.maintenance == MaintenanceMode::Off {
             MaintenanceAction::None
@@ -1541,7 +1119,8 @@ impl SpatialTable {
                 MaintenanceAction::Reanalyzed => "reanalyze",
                 MaintenanceAction::Refined(_) => "refine",
             };
-            self.registry
+            self.sink
+                .registry
                 .counter(&format!("engine.maintenance.action.{name}"))
                 .inc();
         }
@@ -1555,10 +1134,7 @@ impl SpatialTable {
     /// are no statistics or no replayed feedback to refine from.
     fn refine_step(&mut self) -> Option<RefineReport> {
         self.stats.as_ref()?;
-        let samples: Vec<_> = {
-            let serving = self.serving.lock().unwrap_or_else(PoisonError::into_inner);
-            serving.reservoir.samples().to_vec()
-        };
+        let samples: Vec<_> = self.sink.reservoir().samples().to_vec();
         let mut scratch = EstimateScratch::new();
         let observations: Vec<RefineObservation> = samples
             .iter()
@@ -1566,7 +1142,7 @@ impl SpatialTable {
                 sample.exact.map(|actual| RefineObservation {
                     query: sample.query,
                     actual,
-                    estimate: self.estimate_finite(&sample.query, &mut scratch),
+                    estimate: self.current.estimate(&sample.query, &mut scratch),
                 })
             })
             .collect();
@@ -1581,7 +1157,8 @@ impl SpatialTable {
         let refine_ns = clock.lap();
         self.install_refined(hist);
         if self.options.metrics && minskew_obs::enabled() {
-            self.registry
+            self.sink
+                .registry
                 .histogram("engine.maintenance.refine_ns")
                 .record(refine_ns);
         }
@@ -1589,25 +1166,25 @@ impl SpatialTable {
     }
 
     /// Installs a refined histogram: same publication discipline as
-    /// [`SpatialTable::install_stats`] (era bump, cache flush, snapshot
-    /// publish — readers never see a torn install), except the diagnostics
+    /// [`SpatialTable::install_stats`] (era bump, snapshot publish — reader
+    /// caches flush and readers never see a torn install), except the diagnostics
     /// are preserved (the statistics are still the product of the last
     /// `ANALYZE`, incrementally repaired) and the accuracy reservoir keeps
     /// its replayed feedback.
     fn install_refined(&mut self, hist: SpatialHistogram) {
         if self.options.metrics && minskew_obs::enabled() {
-            self.registry
+            self.sink
+                .registry
                 .gauge("engine.stats.buckets")
                 .set(hist.buckets().len() as f64);
-            self.registry
+            self.sink
+                .registry
                 .gauge("engine.stats.bytes")
                 .set(hist.size_bytes() as f64);
         }
         self.diagnostics.achieved_buckets = hist.buckets().len();
         self.stats = Some(hist);
-        self.stats_era += 1;
-        self.invalidate_cache();
-        self.publish();
+        self.publish(true);
     }
 
     /// Plans `query` without executing it. Runs auto-`ANALYZE` first when
@@ -1983,104 +1560,18 @@ mod tests {
     }
 
     #[test]
-    fn cached_estimates_equal_uncached_and_invalidate_on_mutation() {
-        let data = charminar_with(2_500, 11);
-        let mut cached = SpatialTable::new(TableOptions::default());
-        let mut plain = SpatialTable::new(TableOptions {
-            query_cache: false,
-            ..TableOptions::default()
-        });
-        for r in data.rects() {
-            cached.insert(*r);
-            plain.insert(*r);
-        }
-        cached.analyze();
-        plain.analyze();
-        let queries: Vec<Rect> = (0..60)
-            .map(|i| {
-                let s = (i % 20) as f64 * 300.0;
-                Rect::new(s, s, s + 900.0, s + 900.0)
-            })
-            .collect();
-        // Repeated queries: the second pass over the same 20 distinct
-        // rectangles must hit the cache and return the same bits.
-        for pass in 0..3 {
-            for q in &queries {
-                assert_eq!(
-                    cached.estimate(q).to_bits(),
-                    plain.estimate(q).to_bits(),
-                    "pass={pass} q={q}"
-                );
-            }
-        }
-        let d = cached.stats_diagnostics();
-        assert!(d.cache_hits > 0, "repeated queries must hit: {d:?}");
-        assert!(d.cache_misses >= 20);
-        // Mutations flush the cache; estimates immediately reflect them.
-        let q = queries[0];
-        let before = cached.estimate(&q);
-        let id = cached.insert(Rect::new(10.0, 10.0, 60.0, 60.0));
-        plain.insert(Rect::new(10.0, 10.0, 60.0, 60.0));
-        assert_eq!(
-            cached.estimate(&q).to_bits(),
-            plain.estimate(&q).to_bits(),
-            "post-insert estimates must agree (no stale cache entry)"
-        );
-        cached.delete(id);
-        plain.delete(RowId(plain.rows.len() as u64 - 1));
-        assert_eq!(
-            cached.estimate(&q).to_bits(),
-            plain.estimate(&q).to_bits(),
-            "post-delete estimates must agree"
-        );
-        assert_eq!(cached.estimate(&q).to_bits(), before.to_bits());
-        assert!(cached.stats_diagnostics().cache_invalidations >= 2);
-    }
-
-    #[test]
     fn query_cache_can_be_reconfigured() {
         let mut t = grid_table(20);
         t.analyze();
         let q = Rect::new(0.0, 0.0, 50.0, 50.0);
         let reference = t.estimate(&q);
-        t.set_query_cache(false, 0);
+        t.set_query_cache(0);
         assert_eq!(t.estimate(&q).to_bits(), reference.to_bits());
         assert_eq!(t.stats_diagnostics().cache_hits, 0);
-        t.set_query_cache(true, 4);
+        t.set_query_cache(4);
         let _ = t.estimate(&q);
         assert_eq!(t.estimate(&q).to_bits(), reference.to_bits());
         assert_eq!(t.stats_diagnostics().cache_hits, 1);
-    }
-
-    #[test]
-    fn try_estimate_batch_error_position_regression() {
-        // Hoisted validation must preserve the old semantics: the batch
-        // fails with the same error whether the bad query sits first, in
-        // the middle, or last — and a clean batch matches the per-query
-        // loop exactly.
-        let mut t = grid_table(15);
-        t.analyze();
-        let good: Vec<Rect> = (0..130)
-            .map(|i| {
-                let s = (i % 30) as f64 * 5.0;
-                Rect::new(s, s, s + 20.0, s + 20.0)
-            })
-            .collect();
-        let serial: Vec<f64> = good.iter().map(|q| t.estimate(q)).collect();
-        assert_eq!(t.try_estimate_batch(&good).expect("all finite"), serial);
-        let poisoned = Rect {
-            lo: minskew_geom::Point::new(f64::INFINITY, 0.0),
-            hi: minskew_geom::Point::new(1.0, 1.0),
-        };
-        for position in [0usize, 64, good.len()] {
-            let mut batch = good.clone();
-            batch.insert(position, poisoned);
-            let err = t.try_estimate_batch(&batch).expect_err("must reject");
-            assert!(
-                matches!(err, EstimateError::NonFiniteQuery),
-                "position={position}"
-            );
-        }
     }
 
     #[test]
@@ -2128,7 +1619,7 @@ mod tests {
         );
 
         // With the cache off, batches are counted but nothing is "bypassed".
-        t.set_query_cache(false, 0);
+        t.set_query_cache(0);
         t.estimate_batch(&queries);
         let diag = t.stats_diagnostics();
         assert_eq!(diag.batch_queries, 24);
@@ -2190,8 +1681,7 @@ mod tests {
             assert_eq!(counter("engine.query.calls"), Some(20));
             assert_eq!(counter("engine.batch.queries"), Some(3));
             assert_eq!(counter("engine.batch.cache_bypass"), Some(3));
-            // Publication is delta-based: a second read must not double
-            // count.
+            // Reading the registry must not count anything twice.
             let again = t.metrics();
             assert_eq!(
                 again
@@ -2317,8 +1807,8 @@ mod tests {
         let audited = t.audit_accuracy().expect("queries were sampled");
         assert!(audited.samples > 0);
         let cached = |t: &SpatialTable| {
-            let serving = t.serving.lock().unwrap_or_else(PoisonError::into_inner);
-            let samples = serving.reservoir.samples();
+            let reservoir = t.sink.reservoir();
+            let samples = reservoir.samples();
             (
                 samples.len(),
                 samples.iter().filter(|s| s.exact.is_some()).count(),
@@ -2371,11 +1861,11 @@ mod tests {
         };
         // Off: the drift is reported but nothing changes.
         let mut t = drifted_table(MaintenanceMode::Off);
-        let era = t.stats_era;
+        let era = t.current.stats_era();
         let report = t.maintain();
         assert!(report.audit.as_ref().is_some_and(|a| a.drifted));
         assert_eq!(report.action, MaintenanceAction::None);
-        assert_eq!(t.stats_era, era, "Off must not install anything");
+        assert_eq!(t.current.stats_era(), era, "Off must not install anything");
         // DriftReAnalyze: a full rebuild heals the drift.
         let mut t = drifted_table(MaintenanceMode::DriftReAnalyze);
         let report = t.maintain();
@@ -2387,10 +1877,7 @@ mod tests {
         // first maintain can normally refine — force the fallback by
         // clearing the reservoir and letting staleness drive the repair).
         let mut t = drifted_table(MaintenanceMode::OnlineRefine);
-        {
-            let serving = t.serving.get_mut().unwrap_or_else(PoisonError::into_inner);
-            serving.reservoir.clear();
-        }
+        t.sink.reservoir().clear();
         t.options.auto_analyze_threshold = Some(0.25);
         let report = t.maintain();
         assert_eq!(report.action, MaintenanceAction::Reanalyzed, "{report}");
@@ -2403,13 +1890,16 @@ mod tests {
             .audit_accuracy()
             .expect("queries were sampled")
             .avg_relative_error;
-        let era = t.stats_era;
+        let era = t.current.stats_era();
         let report = t.maintain();
         let MaintenanceAction::Refined(refined) = report.action else {
             panic!("expected a refine, got {report}");
         };
         assert!(refined.observations > 0);
-        assert!(t.stats_era > era, "refine must publish a new stats era");
+        assert!(
+            t.current.stats_era() > era,
+            "refine must publish a new stats era"
+        );
         let mut error = before;
         for _ in 0..6 {
             let r = t.maintain();
@@ -2430,6 +1920,38 @@ mod tests {
             let est = t.estimate(&q);
             assert!((0.0..=t.len() as f64).contains(&est));
         }
+    }
+
+    #[test]
+    fn minted_readers_feed_the_tables_sink() {
+        if !minskew_obs::enabled() {
+            return;
+        }
+        let mut t = grid_table(10);
+        t.analyze();
+        let mut a = t.reader();
+        let mut b = a.clone();
+        let q = |i: usize| Rect::new(0.0, 0.0, 5.0 + i as f64, 5.0);
+        for i in 0..6 {
+            let _ = a.estimate(&q(i));
+            let _ = b.estimate(&q(i % 3));
+        }
+        // Dropping a reader publishes the counts it has not published yet.
+        drop((a, b));
+        let counter = |name: &str| {
+            t.metrics()
+                .counters
+                .into_iter()
+                .find(|(n, _)| n == name)
+                .map_or(0, |(_, v)| v)
+        };
+        assert_eq!(counter("engine.query.calls"), 12);
+        assert_eq!(counter("engine.cache.hits"), 3, "b repeats 3 queries");
+        assert_eq!(counter("engine.cache.misses"), 9);
+        // Both readers' computed queries are audited, none of the table's.
+        let report = t.audit_accuracy().expect("readers fed the reservoir");
+        assert_eq!(report.observed, 9);
+        assert_eq!(t.stats_diagnostics().cache_misses, 0);
     }
 
     #[test]

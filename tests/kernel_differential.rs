@@ -109,8 +109,8 @@ fn adversarial_queries(hist: &SpatialHistogram, mbr: Rect) -> Vec<Rect> {
     out
 }
 
-/// Asserts the four estimate paths agree bit for bit on every query:
-/// kernel linear, AoS reference, kernel indexed, AoS indexed.
+/// Asserts the three estimate paths agree bit for bit on every query:
+/// AoS reference (the oracle), kernel linear, kernel indexed.
 fn assert_kernel_differential(
     context: &str,
     hist: &SpatialHistogram,
@@ -128,14 +128,6 @@ fn assert_kernel_differential(
             hist.name(),
         );
         let indexed = hist.estimate_count_indexed(q, scratch);
-        let indexed_reference = hist.estimate_count_indexed_reference(q, scratch);
-        assert_eq!(
-            indexed_reference.to_bits(),
-            indexed.to_bits(),
-            "indexed kernel diverged from the AoS indexed fold: {context} \
-             technique={} q={q} (reference={indexed_reference}, kernel={indexed})",
-            hist.name(),
-        );
         assert_eq!(
             reference.to_bits(),
             indexed.to_bits(),

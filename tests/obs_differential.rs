@@ -132,7 +132,7 @@ fn obs_configs() -> Vec<(&'static str, TableOptions)> {
         (
             "metrics-no-cache",
             TableOptions {
-                query_cache: false,
+                query_cache_capacity: 0,
                 metrics_sampling: 1,
                 ..TableOptions::default()
             },
@@ -141,7 +141,7 @@ fn obs_configs() -> Vec<(&'static str, TableOptions)> {
             "metrics-off-no-cache",
             TableOptions {
                 metrics: false,
-                query_cache: false,
+                query_cache_capacity: 0,
                 ..TableOptions::default()
             },
         ),

@@ -75,10 +75,14 @@ fn golden_transcript_for_every_verb() {
     // Structural verbs, pinned byte for byte.
     assert_eq!(c.send("PING"), "OK pong");
     assert_eq!(c.send("TABLES"), "OK 0");
-    assert_eq!(c.send("CREATE t buckets=4 shards=2"), "OK created t");
+    assert_eq!(c.send("CREATE t buckets=4"), "OK created t");
     assert_eq!(
         c.send("CREATE t"),
         "ERR 2 usage: table \"t\" already exists"
+    );
+    assert_eq!(
+        c.send("CREATE u shards=2"),
+        "ERR 2 usage: unknown option \"shards\""
     );
     assert_eq!(c.send("TABLES"), "OK 1 t");
 
@@ -89,10 +93,7 @@ fn golden_transcript_for_every_verb() {
     }
     assert_eq!(c.send("ESTIMATE t 0 0 10 10"), "OK 4", "no-stats fallback");
     assert_eq!(c.send("ESTIMATE t 20 20 30 30"), "OK 0");
-    assert_eq!(
-        c.send("ANALYZE t"),
-        "OK analyzed t buckets=1 fallback=none shards=2"
-    );
+    assert_eq!(c.send("ANALYZE t"), "OK analyzed t buckets=1 fallback=none");
     assert_eq!(c.send("ESTIMATE t 0 0 10 10"), "OK 4", "histogram estimate");
     assert_eq!(c.send("BATCH t 2 0 0 10 10 20 20 30 30"), "OK 4 0");
     // No-arg STATS carries the request-latency quantiles; the counts and
@@ -107,13 +108,21 @@ fn golden_transcript_for_every_verb() {
     }
     assert_eq!(
         c.send("STATS t"),
-        "OK {\"table\":\"t\",\"rows\":4,\"buckets\":1,\"shards\":2,\
+        "OK {\"table\":\"t\",\"rows\":4,\"buckets\":1,\
          \"generation\":5,\"fallback\":\"none\",\"maintenance\":\"reanalyze\",\
          \"staleness\":0.000000}"
     );
+    // The three computed wire ESTIMATEs above (two on the fallback, one
+    // after ANALYZE flushed the reader cache) are the audited sample; the
+    // BATCH and the cache hit are not. Every one of them is exact.
+    let audit = if minskew_obs::enabled() {
+        "accuracy: 0.0000 avg rel error over 3 sampled queries (3 observed)"
+    } else {
+        "accuracy: no sampled queries yet"
+    };
     assert_eq!(
         c.send("MAINTAIN t"),
-        "OK maintained t mode=reanalyze accuracy: no sampled queries yet; action: none",
+        format!("OK maintained t mode=reanalyze {audit}; action: none"),
         "fresh statistics need no repair"
     );
     assert_eq!(
@@ -279,10 +288,7 @@ fn trace_ids_and_observability_verbs_round_trip() {
     for id in 0..4 {
         assert_eq!(c.send("INSERT t 0 0 10 10"), format!("OK {id}"));
     }
-    assert_eq!(
-        c.send("ANALYZE t"),
-        "OK analyzed t buckets=1 fallback=none shards=1"
-    );
+    assert_eq!(c.send("ANALYZE t"), "OK analyzed t buckets=1 fallback=none");
 
     // Valid trace ids echo on success and on typed errors alike, and the
     // un-tagged replies stay byte-identical to the golden transcript.
@@ -380,7 +386,7 @@ fn trace_ids_and_observability_verbs_round_trip() {
 fn shutdown_verb_stops_the_server_cleanly() {
     let handle = start_server();
     let mut c = Client::connect(handle.addr());
-    assert_eq!(c.send("CREATE t shards=3"), "OK created t");
+    assert_eq!(c.send("CREATE t"), "OK created t");
     assert_eq!(c.send("INSERT t 0 0 5 5"), "OK 0");
     assert_eq!(c.send("SHUTDOWN"), "OK bye");
     assert!(handle.shutdown_requested());
@@ -414,13 +420,7 @@ fn batch_replies_preserve_request_order_and_library_bits() {
     let data = minskew_datagen::charminar_with(1_500, 79);
     let catalog = Arc::new(SpatialCatalog::new());
     let entry = catalog
-        .create(
-            "roads",
-            TableOptions {
-                shards: 4,
-                ..TableOptions::default()
-            },
-        )
+        .create("roads", TableOptions::default())
         .expect("create");
     {
         let mut table = entry.table();
@@ -480,13 +480,7 @@ fn estimates_over_the_wire_are_bit_identical_to_the_library() {
     let data = minskew_datagen::charminar_with(1_500, 61);
     let catalog = Arc::new(SpatialCatalog::new());
     let entry = catalog
-        .create(
-            "roads",
-            TableOptions {
-                shards: 4,
-                ..TableOptions::default()
-            },
-        )
+        .create("roads", TableOptions::default())
         .expect("create");
     {
         let mut table = entry.table();
@@ -525,5 +519,89 @@ fn estimates_over_the_wire_are_bit_identical_to_the_library() {
         );
     }
     drop(table);
+    handle.shutdown();
+}
+
+/// The value of counter `name` in a `METRICS <t> json` body (0 if absent).
+fn json_counter(body: &[String], name: &str) -> u64 {
+    let key = format!("\"{name}\": ");
+    let value = |line: &String| {
+        line.trim()
+            .strip_prefix(&key)?
+            .trim_end_matches(',')
+            .parse()
+            .ok()
+    };
+    body.iter().find_map(value).unwrap_or(0)
+}
+
+#[test]
+fn wire_estimates_feed_the_tables_accuracy_monitor_and_metrics() {
+    // Every connection's reader reports into the table's one sink: the
+    // accuracy reservoir MAINTAIN audits and the counters METRICS scrapes
+    // see wire traffic exactly as they see library traffic.
+    let handle = start_server();
+    let mut c = Client::connect(handle.addr());
+    assert_eq!(c.send("CREATE t buckets=20"), "OK created t");
+    for i in 0..300 {
+        let (x, y) = (f64::from(i % 20) * 10.0, f64::from(i / 20) * 10.0);
+        let reply = c.send(&format!("INSERT t {x} {y} {} {}", x + 6.0, y + 6.0));
+        assert_eq!(reply, format!("OK {i}"));
+    }
+    assert!(c.send("ANALYZE t").starts_with("OK analyzed t "));
+    // Audit without repair, so no install flushes the caches mid-test.
+    assert_eq!(c.send("MAINTAIN t MODE off"), "OK maintenance t mode=off");
+
+    // 40 distinct queries, each sent 5 times: 40 computed, 160 cache hits.
+    const DISTINCT: usize = 40;
+    const REPEATS: usize = 5;
+    let query = |k: usize| {
+        let s = k as f64 * 4.0;
+        format!("ESTIMATE t {s} {} {} {}", s / 2.0, s + 35.0, s / 2.0 + 50.0)
+    };
+    let n = (DISTINCT * REPEATS) as u64;
+    for _ in 0..REPEATS {
+        for k in 0..DISTINCT {
+            assert!(c.send(&query(k)).starts_with("OK "));
+        }
+    }
+    let maintained = c.send("MAINTAIN t");
+    let (_, metrics) = c.send_framed("METRICS t json");
+    if minskew_obs::enabled() {
+        assert!(
+            maintained.contains("over 40 sampled queries (40 observed)"),
+            "MAINTAIN must audit the wire-served queries: {maintained}"
+        );
+        assert_eq!(json_counter(&metrics, "engine.query.calls"), n);
+        let hits = json_counter(&metrics, "engine.cache.hits");
+        let misses = json_counter(&metrics, "engine.cache.misses");
+        assert_eq!((hits, misses), (n - DISTINCT as u64, DISTINCT as u64));
+    } else {
+        assert!(
+            maintained.contains("no sampled queries yet"),
+            "{maintained}"
+        );
+    }
+
+    // A second connection's reader has a cold cache of its own but feeds
+    // the same sink: its computed queries join the same reservoir.
+    let mut c2 = Client::connect(handle.addr());
+    for k in 0..DISTINCT {
+        assert!(c2.send(&query(k)).starts_with("OK "));
+    }
+    let maintained = c2.send("MAINTAIN t");
+    let (_, metrics) = c.send_framed("METRICS t json");
+    if minskew_obs::enabled() {
+        assert!(
+            maintained.contains("over 80 sampled queries (80 observed)"),
+            "both connections must feed one reservoir: {maintained}"
+        );
+        let calls = json_counter(&metrics, "engine.query.calls");
+        let hits = json_counter(&metrics, "engine.cache.hits");
+        let misses = json_counter(&metrics, "engine.cache.misses");
+        assert_eq!(calls, n + DISTINCT as u64);
+        assert_eq!(hits + misses, calls);
+        assert_eq!(misses, 2 * DISTINCT as u64);
+    }
     handle.shutdown();
 }
