@@ -26,8 +26,7 @@ fn splitmix64(mut x: u64) -> u64 {
 /// One reservoir slot: a sampled query plus, once an audit has replayed it,
 /// the exact result count measured for it.
 ///
-/// The cached exact count is keyed to the table's **data era** (its
-/// insert/delete counter): data churn invalidates it (the exact count is no
+/// Every row insert or delete invalidates the cached exact count (it is no
 /// longer exact), while statistics installs — including online-refine
 /// installs — leave it intact. That retention is what feeds the refiner:
 /// the (query, exact) pairs survive the very install they triggered, so the
@@ -37,8 +36,8 @@ fn splitmix64(mut x: u64) -> u64 {
 pub(crate) struct FeedbackSample {
     /// The sampled query rectangle.
     pub(crate) query: Rect,
-    /// Exact `|Q|` from the last audit, valid for the current data era;
-    /// `None` until audited or after data churn invalidated it.
+    /// Exact `|Q|` from the last audit; `None` until audited or after data
+    /// churn invalidated it.
     pub(crate) exact: Option<f64>,
 }
 
@@ -92,7 +91,7 @@ impl Reservoir {
 
     /// Records the exact count replayed for slot `idx`, guarded by a
     /// bit-exact query match: the audit computes exact counts outside the
-    /// serving lock, so the slot may have rotated to a different query in
+    /// reservoir lock, so the slot may have rotated to a different query in
     /// the meantime — a mismatch simply drops the write.
     pub(crate) fn record_exact(&mut self, idx: usize, query: &Rect, exact: f64) {
         if let Some(slot) = self.samples.get_mut(idx) {
@@ -103,8 +102,8 @@ impl Reservoir {
     }
 
     /// Drops every cached exact count (the queries stay resident). Called
-    /// when the data era advances: churn makes the cached counts stale but
-    /// leaves the sampled workload as representative as before.
+    /// on every row insert or delete: churn makes the cached counts stale
+    /// but leaves the sampled workload as representative as before.
     pub(crate) fn invalidate_exact(&mut self) {
         for slot in &mut self.samples {
             slot.exact = None;
