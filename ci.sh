@@ -1,70 +1,41 @@
 #!/usr/bin/env bash
-# Continuous-integration gate for the minskew workspace.
+# Continuous-integration gate for the minskew workspace. Steps, in order:
 #
-# Mirrors what reviewers run by hand:
-#   1. formatting is canonical,
-#   2. clippy is clean at -D warnings across every target — the library
-#      crates (core/engine/data) additionally deny `unwrap()` in non-test
-#      code via #![cfg_attr(not(test), deny(clippy::unwrap_used))],
-#   3. the root-package test suite (tier 1),
-#   4. the full workspace suite with every feature (incl. proptest suites),
-#   5. the serial/parallel differential suite, exhaustive matrix on, pinned
-#      to one test thread so scheduler interleaving can't mask ordering
-#      bugs inside the work queues,
-#   6. the kernel-vs-reference serving differential suite, exhaustive
-#      matrix on, single test thread (same rationale as the parallel suite),
-#   7. a focused clippy pass over the serving-path crates that additionally
-#      denies needless_collect / redundant_clone — the serving path is
-#      allocation-free by design and those lints catch regressions,
-#   8. the observability differential suite, exhaustive matrix on, single
-#      test thread — then re-run with minskew-obs compiled to no-ops to
-#      prove the compiled-out configuration serves the same bytes,
-#   9. a focused clippy pass over minskew-obs denying `unwrap()` even in
-#      the presence of poisoned-lock recovery paths,
-#  10. the snapshot recovery differential suite, exhaustive fault-kind ×
-#      technique matrix on, single test thread (filesystem quarantine
-#      paths must not interleave),
-#  11. the lock-free serving stress suite (readers racing ≥1000 statistics
-#      installs, every observed estimate bitwise old-or-new) and the wire
-#      protocol golden suite (including wire traffic feeding the per-table
-#      accuracy monitor and metrics), both pinned to one test thread so the
-#      stress owns its thread budget,
-#  12. the kernel differential suite pinning the SoA clip-and-accumulate
-#      plane bit-identical to the AoS reference fold: exhaustive matrix
-#      on via --features kernel, then re-run under --features simd (and
-#      simd + fast-math for the relative-error contract of the separate
-#      fast entry point), single test thread so runtime dispatch is
-#      exercised deterministically,
-#  13. feature-cross clippy passes over minskew-core with `simd` and
-#      `simd,fast-math` enabled — the SIMD module is the only code in
-#      the workspace allowed to use `unsafe`, and it must stay clean at
-#      -D warnings in every feature combination,
-#  14. the online-refine differential suite (clamping/partition/codec/
-#      Off-inertness invariants, exhaustive dataset × budget × feedback
-#      matrix on via --features refine, single test thread),
-#  15. the query-tracing differential suite (EXPLAIN bitwise equal to the
-#      indexed serving path, term sums reproducing estimates exactly,
-#      flight recorder / trace ids bit-invisible; exhaustive matrix on via
-#      --features trace, single test thread) — then re-run with minskew-obs
-#      compiled to no-ops alongside the other observability suites,
-#  16. a CLI serve smoke: start `minskew serve` on an ephemeral port, run
-#      a catalog-client round trip against it — including the MAINTAIN
-#      maintenance surface, trace-id echo, the EXPLAIN/FLIGHT/METRICS
-#      observability verbs, a raw malformed-TID fuzz probe, the offline
-#      `minskew explain` surface, and a bounded `minskew top` scrape —
-#      shut it down over the wire, and require a clean exit plus an
-#      emitted metrics dump,
-#  17. a CLI maintain smoke: the offline `minskew maintain` churn demo
-#      must run in every maintenance mode and reject unknown ones,
-#  18. smoke runs of the parallel-speedup, serving-throughput (with
-#      `simd` on, asserting the qps_kernel column is present in the
-#      emitted artefact), obs-overhead (asserting the flight-recorder
-#      overhead column is present in the emitted artefact),
-#      snapshot-persistence, serve-loadgen, and refine-churn benches,
-#      which re-check the differential contracts inline and must leave
-#      BENCH_parallel.json / BENCH_estimate.json / BENCH_obs.json /
-#      BENCH_snapshot.json / BENCH_serve.json / BENCH_refine.json behind
-#      at the workspace root.
+#   1. formatting is canonical;
+#   2. clippy is clean at -D warnings across every target and feature (the
+#      library crates core/engine/data also deny `unwrap()` outside tests
+#      via #![cfg_attr(not(test), deny(clippy::unwrap_used))]);
+#   3. the root-package test suite (tier 1);
+#   4. the full workspace suite with every feature (proptest suites and
+#      the exhaustive matrices included);
+#   5. the differential suites, wire protocol and lock-free stress suites
+#      under `--features exhaustive` on one test thread: every suite runs
+#      the shared corpus in tests/common (datasets × the seven bucket
+#      techniques × extension rules × adversarial queries, pinned bit for
+#      bit to the reference fold) plus its own exhaustive axis, and
+#      scheduler interleaving cannot mask ordering bugs;
+#   6. the kernel differential suite again under `--features simd`, so the
+#      runtime-dispatched vector filter is pinned to the same oracle;
+#   7. the observability suites with minskew-obs compiled to no-ops, proving
+#      the compiled-out configuration serves the same bytes;
+#   8. clippy over minskew-obs denying `unwrap()` everywhere;
+#   9. clippy over the serving crates denying needless_collect and
+#      redundant_clone (the serving path is allocation-free by design);
+#  10. clippy over minskew-core with `simd` on (the workspace's only
+#      `unsafe`);
+#  11. a CLI serve smoke: `minskew serve` on an ephemeral port, a catalog
+#      client round trip (MAINTAIN, trace-id echo, EXPLAIN/FLIGHT/METRICS,
+#      a raw malformed-TID probe, a bounded `minskew top` scrape), wire
+#      shutdown, a clean exit and an emitted metrics dump;
+#  12. a CLI maintain smoke: every maintenance mode runs, unknown ones fail;
+#  13. a CLI explain smoke: offline EXPLAIN certifies bit-identity;
+#  14. quick smoke runs of the six artifact benches (parallel speedup,
+#      serving throughput with `simd` on, obs overhead, snapshot
+#      persistence, serve loadgen, refine churn). Each re-checks its
+#      differential contract inline and must write its artifact under
+#      target/bench-smoke/, with the qps_kernel and recorder_overhead_pct
+#      columns present; the committed full-scale artifacts at the root
+#      are never touched.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -80,38 +51,15 @@ cargo test -q
 echo "==> cargo test --workspace --all-features"
 cargo test -q --workspace --all-features
 
-echo "==> parallel differential suite (exhaustive, single test thread)"
-RUST_TEST_THREADS=1 cargo test -q --test parallel_differential --features parallel
-
-echo "==> serving differential suite (exhaustive, single test thread)"
-RUST_TEST_THREADS=1 cargo test -q --test serving_differential --features serving
-
-echo "==> observability differential suite (exhaustive, single test thread)"
-RUST_TEST_THREADS=1 cargo test -q --test obs_differential --features obs
-
-echo "==> snapshot recovery differential suite (exhaustive, single test thread)"
-RUST_TEST_THREADS=1 cargo test -q --test snapshot_recovery --features snapshot
-
-echo "==> lock-free serving stress suite (single test thread)"
-RUST_TEST_THREADS=1 cargo test -q --test serve_stress
-
-echo "==> wire protocol golden suite (single test thread)"
-RUST_TEST_THREADS=1 cargo test -q --test serve_protocol
-
-echo "==> kernel differential suite (exhaustive, single test thread)"
-RUST_TEST_THREADS=1 cargo test -q --test kernel_differential --features kernel
+echo "==> differential, wire and stress suites (exhaustive, single test thread)"
+RUST_TEST_THREADS=1 cargo test -q --features exhaustive \
+    --test parallel_differential --test serving_differential \
+    --test obs_differential --test snapshot_recovery --test serve_stress \
+    --test serve_protocol --test kernel_differential \
+    --test refine_differential --test trace_differential
 
 echo "==> kernel differential suite under --features simd"
-RUST_TEST_THREADS=1 cargo test -q --test kernel_differential --features kernel,simd
-
-echo "==> kernel differential suite under --features simd,fast-math"
-RUST_TEST_THREADS=1 cargo test -q --test kernel_differential --features kernel,simd,fast-math
-
-echo "==> online-refine differential suite (exhaustive, single test thread)"
-RUST_TEST_THREADS=1 cargo test -q --test refine_differential --features refine
-
-echo "==> query-tracing differential suite (exhaustive, single test thread)"
-RUST_TEST_THREADS=1 cargo test -q --test trace_differential --features trace
+RUST_TEST_THREADS=1 cargo test -q --test kernel_differential --features exhaustive,simd
 
 echo "==> observability suites with minskew-obs compiled to no-ops"
 cargo test -q --test obs_differential --test golden_metrics --test trace_differential \
@@ -124,9 +72,8 @@ echo "==> clippy (serving crates, allocation lints denied)"
 cargo clippy -p minskew-core -p minskew-engine --all-targets -- \
     -D warnings -D clippy::needless_collect -D clippy::redundant_clone
 
-echo "==> clippy (minskew-core, simd feature cross)"
+echo "==> clippy (minskew-core, simd feature)"
 cargo clippy -p minskew-core --all-targets --features simd -- -D warnings
-cargo clippy -p minskew-core --all-targets --features simd,fast-math -- -D warnings
 
 echo "==> CLI serve smoke (ephemeral port, wire shutdown, metrics dump)"
 cargo build -q -p minskew-cli
@@ -249,68 +196,29 @@ if [[ "$EXPLAIN_CLI_OUT" != *'bit-identical'* ]]; then
     exit 1
 fi
 
-echo "==> parallel speedup bench smoke (MINSKEW_QUICK=1)"
-rm -f BENCH_parallel.json
-MINSKEW_QUICK=1 cargo bench -p minskew-bench --bench parallel_speedup >/dev/null
-if [[ ! -f BENCH_parallel.json ]]; then
-    echo "ERROR: bench did not write BENCH_parallel.json" >&2
-    exit 1
-fi
-# The smoke run overwrites the committed full-scale numbers; restore them
-# so CI never silently rewrites the benchmark artefact.
-git checkout -- BENCH_parallel.json 2>/dev/null || true
-
-echo "==> serving throughput bench smoke (MINSKEW_QUICK=1, simd on)"
-rm -f BENCH_estimate.json
-MINSKEW_QUICK=1 cargo bench -p minskew-bench --bench serving_throughput --features simd >/dev/null
-if [[ ! -f BENCH_estimate.json ]]; then
-    echo "ERROR: bench did not write BENCH_estimate.json" >&2
-    exit 1
-fi
-if ! grep -q '"qps_kernel"' BENCH_estimate.json; then
+echo "==> bench smokes (MINSKEW_QUICK=1, artifacts under target/bench-smoke/)"
+SMOKE=target/bench-smoke
+rm -rf "$SMOKE"
+smoke() { # <bench> <artifact> [cargo args...]
+    MINSKEW_QUICK=1 cargo bench -q -p minskew-bench --bench "$1" "${@:3}" >/dev/null
+    if [[ ! -f "$SMOKE/$2" ]]; then
+        echo "ERROR: bench $1 did not write $SMOKE/$2" >&2
+        exit 1
+    fi
+}
+smoke parallel_speedup BENCH_parallel.json
+smoke serving_throughput BENCH_estimate.json --features simd
+smoke obs_overhead BENCH_obs.json
+smoke snapshot_persistence BENCH_snapshot.json
+smoke serve_loadgen BENCH_serve.json
+smoke refine_churn BENCH_refine.json
+if ! grep -q '"qps_kernel"' "$SMOKE/BENCH_estimate.json"; then
     echo "ERROR: BENCH_estimate.json is missing the qps_kernel column" >&2
     exit 1
 fi
-git checkout -- BENCH_estimate.json 2>/dev/null || true
-
-echo "==> observability overhead bench smoke (MINSKEW_QUICK=1)"
-rm -f BENCH_obs.json
-MINSKEW_QUICK=1 cargo bench -p minskew-bench --bench obs_overhead >/dev/null
-if [[ ! -f BENCH_obs.json ]]; then
-    echo "ERROR: bench did not write BENCH_obs.json" >&2
-    exit 1
-fi
-if ! grep -q '"recorder_overhead_pct"' BENCH_obs.json; then
+if ! grep -q '"recorder_overhead_pct"' "$SMOKE/BENCH_obs.json"; then
     echo "ERROR: BENCH_obs.json is missing the flight-recorder column" >&2
     exit 1
 fi
-git checkout -- BENCH_obs.json 2>/dev/null || true
-
-echo "==> snapshot persistence bench smoke (MINSKEW_QUICK=1)"
-rm -f BENCH_snapshot.json
-MINSKEW_QUICK=1 cargo bench -p minskew-bench --bench snapshot_persistence >/dev/null
-if [[ ! -f BENCH_snapshot.json ]]; then
-    echo "ERROR: bench did not write BENCH_snapshot.json" >&2
-    exit 1
-fi
-git checkout -- BENCH_snapshot.json 2>/dev/null || true
-
-echo "==> serve loadgen bench smoke (MINSKEW_QUICK=1)"
-rm -f BENCH_serve.json
-MINSKEW_QUICK=1 cargo bench -p minskew-bench --bench serve_loadgen >/dev/null
-if [[ ! -f BENCH_serve.json ]]; then
-    echo "ERROR: bench did not write BENCH_serve.json" >&2
-    exit 1
-fi
-git checkout -- BENCH_serve.json 2>/dev/null || true
-
-echo "==> refine churn bench smoke (MINSKEW_QUICK=1)"
-rm -f BENCH_refine.json
-MINSKEW_QUICK=1 cargo bench -p minskew-bench --bench refine_churn >/dev/null
-if [[ ! -f BENCH_refine.json ]]; then
-    echo "ERROR: bench did not write BENCH_refine.json" >&2
-    exit 1
-fi
-git checkout -- BENCH_refine.json 2>/dev/null || true
 
 echo "CI OK"

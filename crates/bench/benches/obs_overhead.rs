@@ -15,16 +15,16 @@
 //! reservoir.
 //!
 //! Writes machine-readable results to `BENCH_obs.json` at the workspace
-//! root. `host_cpus` is recorded honestly; the serving path is
-//! single-threaded, so the overhead ratio is meaningful on a 1-CPU
-//! container too. `MINSKEW_QUICK=1` shrinks the inputs for a smoke run.
+//! root (a quick run writes under `target/bench-smoke/`). `host_cpus` is
+//! recorded honestly; the serving path is single-threaded, so the overhead
+//! ratio is meaningful on a 1-CPU container too. `MINSKEW_QUICK=1` shrinks
+//! the inputs for a smoke run.
 
-use minskew_bench::{charminar_scaled, time_it, Scale, DEFAULT_REGIONS};
+use minskew_bench::{charminar_scaled, time_it, write_artifact, Scale, DEFAULT_REGIONS};
 use minskew_engine::{AnalyzeOptions, SpatialTable, StatsTechnique, TableOptions};
 use minskew_geom::Rect;
 use minskew_workload::QueryWorkload;
 use std::hint::black_box;
-use std::path::Path;
 
 const BUCKETS: usize = 200;
 const REPS: usize = 41;
@@ -225,7 +225,5 @@ fn main() {
     }
     json.push_str("  ]\n}\n");
 
-    let out = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_obs.json");
-    std::fs::write(&out, json).expect("write BENCH_obs.json");
-    println!("\nwrote {}", out.display());
+    write_artifact("BENCH_obs.json", &json);
 }

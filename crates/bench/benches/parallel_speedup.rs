@@ -3,20 +3,20 @@
 //! (a speedup that changes the answer is a bug, not a win).
 //!
 //! Writes machine-readable results to `BENCH_parallel.json` at the
-//! workspace root so CI can assert the file exists and reviewers can diff
-//! numbers across machines. `host_cpus` is recorded alongside the timings:
-//! speedup is only attainable up to the physical core count, so a 1-CPU
-//! container will honestly report ~1.0x and that is the expected reading
-//! there, not a regression.
+//! workspace root (a quick run writes under `target/bench-smoke/`) so CI
+//! can assert the file exists and readers can diff numbers across
+//! machines. `host_cpus` is recorded alongside the timings: speedup is only
+//! attainable up to the physical core count, so a 1-CPU container will
+//! honestly report ~1.0x and that is the expected reading there, not a
+//! regression.
 //!
 //! `MINSKEW_QUICK=1` shrinks the inputs for a smoke run.
 
-use minskew_bench::{time_it, Scale};
+use minskew_bench::{time_it, write_artifact, Scale};
 use minskew_core::MinSkewBuilder;
 use minskew_data::DensityGrid;
 use minskew_datagen::charminar_with;
 use minskew_workload::{GroundTruth, QueryWorkload};
-use std::path::Path;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 const REPS: usize = 3;
@@ -160,9 +160,5 @@ fn main() {
     }
     json.push_str("  ]\n}\n");
 
-    // The bench binary runs with the bench crate as manifest dir; the JSON
-    // belongs at the workspace root next to the other committed artefacts.
-    let out = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_parallel.json");
-    std::fs::write(&out, json).expect("write BENCH_parallel.json");
-    println!("\nwrote {}", out.display());
+    write_artifact("BENCH_parallel.json", &json);
 }

@@ -21,11 +21,10 @@
 //! rebuild it displaces.
 //!
 //! Writes machine-readable results to `BENCH_refine.json` at the workspace
-//! root. `MINSKEW_QUICK=1` shrinks the dataset and horizon for smoke runs.
+//! root (a quick run writes under `target/bench-smoke/`). `MINSKEW_QUICK=1`
+//! shrinks the dataset and horizon for smoke runs.
 
-use std::path::Path;
-
-use minskew_bench::{charminar_scaled, time_it, Scale};
+use minskew_bench::{charminar_scaled, time_it, write_artifact, Scale};
 use minskew_core::{MinSkewBuilder, SpatialEstimator};
 use minskew_data::Dataset;
 use minskew_engine::{MaintenanceAction, MaintenanceMode, RowId, SpatialTable, TableOptions};
@@ -283,7 +282,5 @@ fn main() {
     );
     json.push_str("}\n");
 
-    let out = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_refine.json");
-    std::fs::write(&out, json).expect("write BENCH_refine.json");
-    println!("\nwrote {}", out.display());
+    write_artifact("BENCH_refine.json", &json);
 }

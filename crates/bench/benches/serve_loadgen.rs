@@ -7,20 +7,19 @@
 //! reporting a win.
 //!
 //! Writes machine-readable results to `BENCH_serve.json` at the workspace
-//! root. `host_cpus` is recorded honestly — on a 1-CPU container the
-//! concurrency rows measure protocol/scheduling overhead, not parallel
-//! speedup; the interesting comparison there is ESTIMATE vs BATCH (syscall
-//! amortisation).
+//! root (a quick run writes under `target/bench-smoke/`). `host_cpus` is
+//! recorded honestly — on a 1-CPU container the concurrency rows measure
+//! protocol/scheduling overhead, not parallel speedup; the interesting
+//! comparison there is ESTIMATE vs BATCH (syscall amortisation).
 //!
 //! `MINSKEW_QUICK=1` shrinks the workload for a smoke run.
 
-use minskew_bench::{charminar_scaled, Scale};
+use minskew_bench::{charminar_scaled, write_artifact, Scale};
 use minskew_engine::{serve, ServeOptions, SpatialCatalog, TableOptions};
 use minskew_geom::Rect;
 use minskew_workload::QueryWorkload;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -226,7 +225,5 @@ fn main() {
     }
     json.push_str("  ]\n}\n");
 
-    let out = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_serve.json");
-    std::fs::write(&out, json).expect("write BENCH_serve.json");
-    eprintln!("[serve] wrote {}", out.display());
+    write_artifact("BENCH_serve.json", &json);
 }

@@ -12,23 +12,23 @@
 //! ran on the measurement host (scalar-autovec, sse2, or avx2).
 //!
 //! Writes machine-readable results to `BENCH_estimate.json` at the
-//! workspace root so CI can assert the file exists and reviewers can diff
-//! numbers across machines. `host_cpus` is recorded honestly; the kernel
-//! win is algorithmic (fewer buckets touched per query), so it shows up on
-//! a 1-CPU container too. The cached row models repeated query traffic:
-//! the same pool of distinct rectangles served over and over, which is the
-//! workload the LRU exists for.
+//! workspace root (a quick run writes under `target/bench-smoke/`) so CI
+//! can assert the file exists and readers can diff numbers across
+//! machines. `host_cpus` is recorded honestly; the kernel win is
+//! algorithmic (fewer buckets touched per query), so it shows up on a 1-CPU
+//! container too. The cached row models repeated query traffic: the same
+//! pool of distinct rectangles served over and over, which is the workload
+//! the LRU exists for.
 //!
 //! `MINSKEW_QUICK=1` shrinks the inputs for a smoke run.
 
-use minskew_bench::{charminar_scaled, nj_road, time_it, Scale, DEFAULT_REGIONS};
+use minskew_bench::{charminar_scaled, nj_road, time_it, write_artifact, Scale, DEFAULT_REGIONS};
 use minskew_core::{simd_level, IndexScratch, MinSkewBuilder, SpatialEstimator};
 use minskew_data::Dataset;
 use minskew_engine::{AnalyzeOptions, SpatialTable, StatsTechnique, TableOptions};
 use minskew_geom::Rect;
 use minskew_workload::QueryWorkload;
 use std::hint::black_box;
-use std::path::Path;
 
 const BUCKETS: [usize; 3] = [50, 200, 1000];
 const REPS: usize = 3;
@@ -211,7 +211,5 @@ fn main() {
     }
     json.push_str("  ]\n}\n");
 
-    let out = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_estimate.json");
-    std::fs::write(&out, json).expect("write BENCH_estimate.json");
-    println!("\nwrote {}", out.display());
+    write_artifact("BENCH_estimate.json", &json);
 }

@@ -10,15 +10,14 @@
 //! durability subsystem.
 //!
 //! Writes machine-readable results to `BENCH_snapshot.json` at the
-//! workspace root. `host_cpus` is recorded honestly; every timed path here
-//! is single-threaded. `MINSKEW_QUICK=1` shrinks the inputs for a smoke
-//! run.
+//! workspace root (a quick run writes under `target/bench-smoke/`).
+//! `host_cpus` is recorded honestly; every timed path here is
+//! single-threaded. `MINSKEW_QUICK=1` shrinks the inputs for a smoke run.
 
-use minskew_bench::{charminar_scaled, time_it, Scale, DEFAULT_REGIONS};
+use minskew_bench::{charminar_scaled, time_it, write_artifact, Scale, DEFAULT_REGIONS};
 use minskew_core::{verify_snapshot, SpatialHistogram};
 use minskew_engine::{AnalyzeOptions, SpatialTable, StatsTechnique, TableOptions};
 use std::hint::black_box;
-use std::path::Path;
 
 const BUCKETS: usize = 200;
 const REPS: usize = 7;
@@ -130,7 +129,5 @@ fn main() {
     json.push_str(&format!("  \"load_vs_rebuild_speedup\": {ratio:.1}\n"));
     json.push_str("}\n");
 
-    let out = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_snapshot.json");
-    std::fs::write(&out, json).expect("write BENCH_snapshot.json");
-    println!("\nwrote {}", out.display());
+    write_artifact("BENCH_snapshot.json", &json);
 }

@@ -10,7 +10,9 @@
 //! The defaults reproduce the paper's parameters (414 442-rectangle NJ-road
 //! stand-in, 40 000-rectangle Charminar, 10 000 queries per point). Set
 //! `MINSKEW_QUICK=1` to divide dataset sizes by 10 and query counts by 10
-//! for a fast smoke run of the whole suite.
+//! for a fast smoke run of the whole suite. [`write_artifact`] puts a quick
+//! run's JSON under `target/bench-smoke/`, never over a committed
+//! full-scale `BENCH_*.json`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -23,6 +25,7 @@ use minskew_core::{
 use minskew_data::Dataset;
 use minskew_datagen::{charminar_with, RoadNetworkSpec};
 use minskew_workload::{evaluate, ErrorReport, GroundTruth, QueryWorkload};
+use std::path::{Path, PathBuf};
 
 /// Experiment scale, derived from the environment.
 #[derive(Debug, Clone, Copy)]
@@ -136,6 +139,24 @@ pub fn print_error_table(title: &str, col0: &str, names: &[String], rows: &[(Str
         println!();
     }
     println!();
+}
+
+/// Writes the machine-readable bench artifact `name` and returns its path.
+///
+/// Full-scale runs write it at the workspace root, where the committed
+/// artifacts live; quick runs (`MINSKEW_QUICK`) write it under
+/// `target/bench-smoke/`.
+pub fn write_artifact(name: &str, json: &str) -> PathBuf {
+    let mut dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    if Scale::from_env().data_divisor != 1 {
+        dir = dir.join("target/bench-smoke");
+    }
+    let out = dir.join(name);
+    std::fs::create_dir_all(&dir)
+        .and_then(|()| std::fs::write(&out, json))
+        .unwrap_or_else(|e| panic!("write {}: {e}", out.display()));
+    println!("\nwrote {}", out.display());
+    out
 }
 
 /// Wall-clock helper for construction-time tables.

@@ -210,15 +210,6 @@ impl SpatialHistogram {
             .sum()
     }
 
-    /// Reassociated kernel estimate (see [`BucketPlane::accumulate_fast`]):
-    /// same terms as [`SpatialEstimator::estimate_count`], fold order
-    /// relaxed, relative error pinned `<= 1e-12`. Opt-in via the
-    /// `fast-math` feature; no default serving path calls this.
-    #[cfg(feature = "fast-math")]
-    pub fn estimate_count_fast(&self, query: &Rect) -> f64 {
-        self.bucket_plane().accumulate_fast(&QueryPrep::new(query))
-    }
-
     /// [`SpatialEstimator::estimate_count`] through the serving fast path:
     /// bit-identical to [`SpatialHistogram::estimate_count_reference`],
     /// sub-linear in the bucket count for selective queries, and

@@ -62,7 +62,7 @@
 //! `c != 0.0` filter so the NaN propagates into the sum exactly as the
 //! reference propagates it.
 //!
-//! # Explicit SIMD and `fast-math`
+//! # Explicit SIMD
 //!
 //! With the `simd` cargo feature on x86_64, the filter of step 3 runs four
 //! (AVX2, runtime-detected) or two (SSE2 baseline) buckets per iteration
@@ -73,13 +73,6 @@
 //! pins it. Per-lane min/max/compare semantics only feed the boolean
 //! filter, where `-0.0 == +0.0` and the NaN behaviours above agree between
 //! the scalar and vector forms.
-//!
-//! Reassociated accumulation (which genuinely reorders the fold and
-//! therefore may move low bits) is **never** on the default path: it lives
-//! behind the `fast-math` feature as the separate
-//! [`BucketPlane::accumulate_fast`] entry point, with a pinned relative
-//! error bound of `1e-12` against the bit-reference
-//! (`tests/kernel_differential.rs`).
 
 use minskew_geom::Rect;
 
@@ -947,30 +940,6 @@ impl BucketPlane {
             prune,
         }
     }
-
-    /// Reassociated estimate over all buckets: same terms as
-    /// [`BucketPlane::accumulate`] but folded into two interleaved
-    /// accumulators to halve the addition dependency chain. **Not**
-    /// bit-identical to the reference — relative error is bounded by the
-    /// reassociation of at most `len()` non-negative terms and pinned at
-    /// `<= 1e-12` by the kernel differential suite. Opt-in only; no serving
-    /// path calls this.
-    #[cfg(feature = "fast-math")]
-    pub fn accumulate_fast(&self, p: &QueryPrep) -> f64 {
-        let mut acc = [0.0f64; 2];
-        let mut lane = 0usize;
-        let mut saw_pos_zero = false;
-        for i in 0..self.len() {
-            let before = acc[lane & 1];
-            self.fold_one(i, p, &mut acc[lane & 1], &mut saw_pos_zero);
-            // Rotate accumulators only on a real addition so dead buckets
-            // do not serialise the rotation.
-            if acc[lane & 1].to_bits() != before.to_bits() {
-                lane += 1;
-            }
-        }
-        acc[0] + acc[1]
-    }
 }
 
 /// Which kernel code path serves `BucketPlane::accumulate` on this host —
@@ -1719,25 +1688,6 @@ mod tests {
             assert!(plane.bx1[b] <= m.lo.x && m.hi.x <= plane.bx2[b]);
             assert!(plane.by1[b] <= m.lo.y && m.hi.y <= plane.by2[b]);
             assert!(plane.bex[b] >= plane.mex[j] && plane.bey[b] >= plane.mey[j]);
-        }
-    }
-
-    #[cfg(feature = "fast-math")]
-    #[test]
-    fn fast_math_within_relative_error_bound() {
-        for side in [4usize, 10, 20] {
-            let buckets = grid(side);
-            let plane = BucketPlane::build(&buckets, ExtensionRule::Minkowski);
-            for q in queries() {
-                let p = QueryPrep::new(&q);
-                let exact = plane.accumulate(&p);
-                let fast = plane.accumulate_fast(&p);
-                let err = (fast - exact).abs();
-                assert!(
-                    err <= 1e-12 * exact.abs().max(1.0),
-                    "side={side} q={q} exact={exact} fast={fast}"
-                );
-            }
         }
     }
 

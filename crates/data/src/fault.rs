@@ -375,21 +375,17 @@ impl<S: RectSource + ?Sized> RectSource for FaultSource<'_, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{read_rects_csv_from, write_rects_csv, Dataset};
+    use crate::{read_rects_csv_from, Dataset};
     use std::io::BufReader;
 
+    /// The bytes `write_rects_csv` writes for 50 unit-wide rects, built
+    /// in memory so parallel test threads share no file.
     fn sample_csv() -> Vec<u8> {
-        let ds = Dataset::new(
-            (0..50)
-                .map(|i| Rect::new(i as f64, 0.0, i as f64 + 1.0, 2.0))
-                .collect(),
-        );
-        let path =
-            std::env::temp_dir().join(format!("minskew-fault-sample-{}.csv", std::process::id()));
-        write_rects_csv(&ds, &path).unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::remove_file(path).ok();
-        bytes
+        let mut csv = String::from("# x1,y1,x2,y2 — 50 rectangles\n");
+        for i in 0..50 {
+            csv.push_str(&format!("{i},0,{},2\n", i + 1));
+        }
+        csv.into_bytes()
     }
 
     #[test]

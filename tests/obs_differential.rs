@@ -9,63 +9,18 @@
 //! This is the same contract the parallel layer (`parallel_differential.rs`)
 //! and the serving layer (`serving_differential.rs`) are pinned by: an
 //! optimisation — here, an *instrumentation* — that is observationally
-//! invisible. The base matrix below always runs (tier 1); the `obs` feature
-//! turns on the exhaustive cross product. CI additionally re-runs the suite
-//! with `minskew-obs` compiled to no-ops (`--features minskew-obs/noop`),
+//! invisible. The workload and table fixtures are the shared ones in
+//! `tests/common`; this suite's own axis is metrics on/off.
+//! `--features exhaustive` crosses every dataset, technique, metrics
+//! configuration and thread count. CI additionally re-runs the suite with
+//! `minskew-obs` compiled to no-ops (`--features minskew-obs/noop`),
 //! proving the compiled-out configuration serves the same bytes too.
 
+mod common;
+
+use common::{filled_table, queries_for, table_with};
 use minskew::prelude::*;
-#[cfg(feature = "obs")]
-use minskew_datagen::SyntheticSpec;
 use minskew_datagen::{charminar_with, uniform_rects};
-
-/// Deterministic query mix across the dataset extent (ranges at three
-/// sizes, points, covering/disjoint shapes).
-fn queries_for(data: &Dataset) -> Vec<Rect> {
-    let mbr = data.stats().mbr;
-    let (w, h) = (mbr.width().max(1.0), mbr.height().max(1.0));
-    let mut out = Vec::new();
-    for i in 0..10 {
-        let f = i as f64 / 10.0;
-        for size in [0.03, 0.12, 0.4] {
-            let x = mbr.lo.x + f * w * 0.9;
-            let y = mbr.lo.y + (1.0 - f) * h * 0.9;
-            out.push(Rect::new(x, y, x + size * w, y + size * h));
-        }
-    }
-    for i in 0..6 {
-        let f = i as f64 / 6.0;
-        out.push(Rect::from_point(Point::new(
-            mbr.lo.x + f * w,
-            mbr.lo.y + f * h,
-        )));
-    }
-    out.push(mbr);
-    out.push(mbr.expanded(w, h));
-    out.push(Rect::new(
-        mbr.hi.x + 2.0 * w,
-        mbr.hi.y + 2.0 * h,
-        mbr.hi.x + 3.0 * w,
-        mbr.hi.y + 3.0 * h,
-    ));
-    out
-}
-
-fn table_with(data: &Dataset, technique: StatsTechnique, options: TableOptions) -> SpatialTable {
-    let mut t = SpatialTable::new(TableOptions {
-        analyze: AnalyzeOptions {
-            technique,
-            buckets: 24,
-            ..AnalyzeOptions::default()
-        },
-        ..options
-    });
-    for r in data.rects() {
-        t.insert(*r);
-    }
-    t.analyze();
-    t
-}
 
 /// Drives one full serving lifecycle — single queries, a batch pass, churn,
 /// re-ANALYZE, an accuracy audit between every stage — and returns every
@@ -151,7 +106,7 @@ fn obs_configs() -> Vec<(&'static str, TableOptions)> {
 #[test]
 fn metrics_are_bit_invisible_across_the_serving_lifecycle() {
     let data = charminar_with(2_500, 7);
-    let queries = queries_for(&data);
+    let queries = queries_for(data.stats().mbr);
     for technique in [
         StatsTechnique::MinSkew,
         StatsTechnique::EquiCount,
@@ -235,15 +190,14 @@ fn accuracy_monitor_reproduces_the_papers_error_metric() {
     // query is resident, so the audit must equal the offline average
     // relative error over exactly those queries.
     let data = charminar_with(2_000, 29);
-    let mut table = SpatialTable::new(TableOptions {
-        accuracy_reservoir: 4_096,
-        ..TableOptions::default()
-    });
-    for r in data.rects() {
-        table.insert(*r);
-    }
-    table.analyze();
-    let queries = queries_for(&data);
+    let table = filled_table(
+        &data,
+        TableOptions {
+            accuracy_reservoir: 4_096,
+            ..TableOptions::default()
+        },
+    );
+    let queries = queries_for(data.stats().mbr);
     for q in &queries {
         let _ = table.estimate(q);
     }
@@ -270,30 +224,14 @@ fn accuracy_monitor_reproduces_the_papers_error_metric() {
     );
 }
 
-/// Exhaustive cross product — enabled by the `obs` feature (CI runs it;
-/// plain `cargo test` keeps the fast base matrix).
-#[cfg(feature = "obs")]
+/// Exhaustive cross product over the corpus datasets — enabled by the
+/// `exhaustive` feature.
+#[cfg(feature = "exhaustive")]
 #[test]
 fn exhaustive_obs_matrix() {
-    let datasets = [
-        ("charminar", charminar_with(6_000, 43)),
-        (
-            "synthetic",
-            SyntheticSpec::default().with_n(4_000).generate(47),
-        ),
-        (
-            "uniform",
-            uniform_rects(3_000, Rect::new(0.0, 0.0, 8_000.0, 8_000.0), 25.0, 25.0, 53),
-        ),
-    ];
-    for (dataset_name, data) in datasets {
-        let queries = queries_for(&data);
-        for technique in [
-            StatsTechnique::MinSkew,
-            StatsTechnique::EquiArea,
-            StatsTechnique::EquiCount,
-            StatsTechnique::Uniform,
-        ] {
+    for (dataset_name, data) in common::datasets(common::SCALE) {
+        let queries = queries_for(data.stats().mbr);
+        for technique in common::STATS_TECHNIQUES {
             let reference = {
                 let mut t = table_with(
                     &data,

@@ -10,50 +10,23 @@
 //! counts {1, 2, 3, 8}, split strategies, extension rules, and refinement
 //! settings.
 //!
-//! The base matrix below always runs (tier 1). The `parallel` feature turns
-//! on the exhaustive cross product on larger inputs; the `proptest` feature
+//! The datasets and table fixtures are the shared ones in `tests/common`;
+//! this suite's own axis is the thread count. The base matrix below always
+//! runs (tier 1). `--features exhaustive` turns on the full strategy ×
+//! rule × refinement cross product on larger inputs; `--features proptest`
 //! adds randomized differential properties. CI runs the suite both under
 //! the default test scheduler and under `RUST_TEST_THREADS=1`, so pool
 //! contention from concurrently running tests cannot mask ordering bugs.
 
+mod common;
+
+use common::{datasets, filled_table};
 use minskew::prelude::*;
-use minskew_datagen::{charminar_with, uniform_rects, RoadNetworkSpec, SyntheticSpec};
+use minskew_datagen::charminar_with;
 
 /// Thread counts every differential assertion sweeps. 1 is the reference,
 /// 2 and 3 exercise uneven chunk boundaries, 8 oversubscribes the host.
 const THREADS: [usize; 4] = [1, 2, 3, 8];
-
-fn datasets(scale: usize) -> Vec<(&'static str, Dataset)> {
-    vec![
-        ("charminar", charminar_with(3_000 * scale, 7)),
-        (
-            "synthetic",
-            SyntheticSpec::default().with_n(2_000 * scale).generate(11),
-        ),
-        (
-            "road",
-            RoadNetworkSpec {
-                segments: 2_000 * scale,
-                ..RoadNetworkSpec::default()
-            }
-            .generate(13),
-        ),
-        (
-            "uniform",
-            uniform_rects(
-                1_500 * scale,
-                Rect::new(0.0, 0.0, 10_000.0, 10_000.0),
-                40.0,
-                40.0,
-                17,
-            ),
-        ),
-        (
-            "point-pile",
-            Dataset::new(vec![Rect::new(5.0, 5.0, 5.0, 5.0); 64]),
-        ),
-    ]
-}
 
 /// Asserts serial/parallel equality of the full Min-Skew construction for
 /// one configuration: histogram equality AND codec-byte equality (the wire
@@ -91,7 +64,7 @@ fn assert_build_differential(
 
 #[test]
 fn histogram_construction_is_thread_count_invariant() {
-    for (name, data) in datasets(1) {
+    for (name, data) in datasets(common::SCALE) {
         for strategy in [SplitStrategy::Exact2d, SplitStrategy::Marginal] {
             assert_build_differential(
                 name,
@@ -108,7 +81,7 @@ fn histogram_construction_is_thread_count_invariant() {
 
 #[test]
 fn progressive_refinement_is_thread_count_invariant() {
-    for (name, data) in datasets(1) {
+    for (name, data) in datasets(common::SCALE) {
         assert_build_differential(
             name,
             &data,
@@ -123,7 +96,7 @@ fn progressive_refinement_is_thread_count_invariant() {
 
 #[test]
 fn density_grid_is_thread_count_invariant() {
-    for (name, data) in datasets(4) {
+    for (name, data) in datasets(7) {
         let bounds = data.stats().mbr;
         for (nx, ny) in [(1, 1), (7, 3), (64, 64)] {
             let serial = DensityGrid::build(data.rects().iter(), bounds, nx, ny);
@@ -161,11 +134,7 @@ fn ground_truth_batch_counting_is_thread_count_invariant() {
 #[test]
 fn engine_batch_estimation_is_thread_count_invariant() {
     let data = charminar_with(4_000, 31);
-    let mut table = SpatialTable::new(TableOptions::default());
-    for r in data.rects() {
-        table.insert(*r);
-    }
-    table.analyze();
+    let mut table = filled_table(&data, TableOptions::default());
     let workload = QueryWorkload::generate(&data, 0.15, 300, 37);
     let serial_bits: Vec<u64> = workload
         .queries()
@@ -203,18 +172,15 @@ fn streaming_fallback_matches_parallel_in_memory_build() {
     std::fs::remove_file(path).ok();
 }
 
-/// Exhaustive cross product on larger inputs — enabled by the `parallel`
-/// feature (CI runs it; plain `cargo test` keeps the fast base matrix).
-#[cfg(feature = "parallel")]
+/// Exhaustive cross product on larger inputs — enabled by the
+/// `exhaustive` feature (CI runs it; plain `cargo test` keeps the fast base
+/// matrix).
+#[cfg(feature = "exhaustive")]
 #[test]
 fn exhaustive_differential_matrix() {
-    for (name, data) in datasets(4) {
+    for (name, data) in datasets(common::SCALE) {
         for strategy in [SplitStrategy::Exact2d, SplitStrategy::Marginal] {
-            for rule in [
-                ExtensionRule::Minkowski,
-                ExtensionRule::PaperLiteral,
-                ExtensionRule::None,
-            ] {
+            for rule in common::RULES {
                 for refinements in [0usize, 1, 3] {
                     assert_build_differential(name, &data, 48, 16_384, refinements, strategy, rule);
                 }

@@ -19,39 +19,16 @@
 //!    to one that never calls it: turning the feature off reproduces
 //!    yesterday's bytes.
 //!
-//! The base tests below always run (tier 1); the `refine` feature turns on
-//! the exhaustive dataset × budget × feedback-volume matrix. CI runs the
-//! gated matrix with `RUST_TEST_THREADS=1 --features refine`.
+//! The workload and table fixtures are the shared ones in `tests/common`;
+//! this suite's own axis is refine feedback. `--features exhaustive` turns
+//! on the dataset × budget × feedback-volume matrix; CI runs it on one
+//! test thread.
 
+mod common;
+
+use common::{filled_table, queries_for};
 use minskew::prelude::*;
 use minskew_datagen::charminar_with;
-#[cfg(feature = "refine")]
-use minskew_datagen::uniform_rects;
-
-/// Deterministic query mix over (and beyond) the dataset extent.
-fn queries_for(data: &Dataset) -> Vec<Rect> {
-    let mbr = data.stats().mbr;
-    let (w, h) = (mbr.width().max(1.0), mbr.height().max(1.0));
-    let mut out = Vec::new();
-    for i in 0..8 {
-        let f = i as f64 / 8.0;
-        for size in [0.02, 0.1, 0.35] {
-            let x = mbr.lo.x + f * w * 0.9;
-            let y = mbr.lo.y + (1.0 - f) * h * 0.9;
-            out.push(Rect::new(x, y, x + size * w, y + size * h));
-        }
-    }
-    for i in 0..5 {
-        let f = i as f64 / 5.0;
-        out.push(Rect::from_point(Point::new(
-            mbr.lo.x + f * w,
-            mbr.lo.y + f * h,
-        )));
-    }
-    out.push(mbr);
-    out.push(mbr.expanded(w, h));
-    out
-}
 
 /// Feedback triples replaying `queries` against exact counts, with the
 /// histogram's own estimates in the `estimate` slot — exactly what the
@@ -84,10 +61,11 @@ fn refine_steps(
     current
 }
 
-/// Every interior probe point of the root extent must be owned by exactly
-/// one bucket: splits tile, merges union, nothing overlaps or gaps.
-fn assert_partition(hist: &SpatialHistogram, root: &Rect) {
+/// Interior probe points of the root extent that are not owned by
+/// exactly one bucket, with their owner counts.
+fn partition_faults(hist: &SpatialHistogram, root: &Rect) -> Vec<(Point, usize)> {
     let (w, h) = (root.width(), root.height());
+    let mut out = Vec::new();
     for iy in 0..23 {
         for ix in 0..23 {
             // Irrational-ish offsets keep probes off bucket boundaries.
@@ -100,12 +78,17 @@ fn assert_partition(hist: &SpatialHistogram, root: &Rect) {
                 .iter()
                 .filter(|b| b.mbr.contains_point(p))
                 .count();
-            assert_eq!(
-                owners, 1,
-                "point ({}, {}) owned by {owners} buckets",
-                p.x, p.y
-            );
+            if owners != 1 {
+                out.push((p, owners));
+            }
         }
+    }
+    out
+}
+
+fn assert_partition(hist: &SpatialHistogram, root: &Rect) {
+    if let Some((p, owners)) = partition_faults(hist, root).first() {
+        panic!("point ({}, {}) owned by {owners} buckets", p.x, p.y);
     }
 }
 
@@ -147,10 +130,6 @@ fn assert_round_trips(hist: &SpatialHistogram) {
     assert_eq!(hist.buckets(), restored.buckets());
 }
 
-fn bits(v: f64) -> u64 {
-    v.to_bits()
-}
-
 // ---------------------------------------------------------------------
 // Base tier: always runs.
 // ---------------------------------------------------------------------
@@ -159,7 +138,7 @@ fn bits(v: f64) -> u64 {
 fn refined_estimates_stay_sane_even_under_adversarial_feedback() {
     let data = charminar_with(4_000, 11);
     let hist = MinSkewBuilder::new(40).regions(1_600).build(&data);
-    let queries = queries_for(&data);
+    let queries = queries_for(data.stats().mbr);
     // Honest feedback first.
     let refined = refine_steps(&data, &hist, &queries, 4, &RefineOptions::default());
     assert_sane(&refined, &queries);
@@ -188,7 +167,7 @@ fn maintained_tables_serve_estimates_clamped_to_the_row_count() {
     }
     t.analyze();
     let mbr = data.stats().mbr;
-    let queries = queries_for(&data);
+    let queries = queries_for(mbr);
     // Drift hard (a dense hotspot plus deletions), serve to fill the
     // reservoir, then run several refine passes; every served estimate —
     // refined statistics included — must stay inside [0, rows].
@@ -226,7 +205,7 @@ fn refine_preserves_the_bucket_partition() {
     let hist = MinSkewBuilder::new(32).regions(1_600).build(&data);
     let root = data.stats().mbr;
     assert_partition(&hist, &root);
-    let queries = queries_for(&data);
+    let queries = queries_for(root);
     let refined = refine_steps(&data, &hist, &queries, 6, &RefineOptions::default());
     assert_partition(&refined, &root);
 }
@@ -235,7 +214,7 @@ fn refine_preserves_the_bucket_partition() {
 fn refined_histogram_round_trips_through_both_codecs() {
     let data = charminar_with(4_000, 17);
     let hist = MinSkewBuilder::new(40).regions(1_600).build(&data);
-    let queries = queries_for(&data);
+    let queries = queries_for(data.stats().mbr);
     let refined = refine_steps(&data, &hist, &queries, 3, &RefineOptions::default());
     assert_round_trips(&refined);
 }
@@ -244,7 +223,7 @@ fn refined_histogram_round_trips_through_both_codecs() {
 fn refine_is_deterministic() {
     let data = charminar_with(4_000, 19);
     let hist = MinSkewBuilder::new(40).regions(1_600).build(&data);
-    let queries = queries_for(&data);
+    let queries = queries_for(data.stats().mbr);
     let a = refine_steps(&data, &hist, &queries, 5, &RefineOptions::default());
     let b = refine_steps(&data, &hist, &queries, 5, &RefineOptions::default());
     assert_eq!(a.to_bytes(), b.to_bytes(), "refine must be deterministic");
@@ -253,20 +232,19 @@ fn refine_is_deterministic() {
 #[test]
 fn maintenance_off_serves_bit_identical_to_never_maintaining() {
     let data = charminar_with(4_000, 23);
-    let queries = queries_for(&data);
+    let queries = queries_for(data.stats().mbr);
     let build = |maintained: bool| -> (Vec<u64>, Vec<u8>) {
-        let mut t = SpatialTable::new(TableOptions {
-            maintenance: MaintenanceMode::Off,
-            auto_analyze_threshold: None,
-            ..TableOptions::default()
-        });
-        for r in data.rects() {
-            t.insert(*r);
-        }
-        t.analyze();
+        let mut t = filled_table(
+            &data,
+            TableOptions {
+                maintenance: MaintenanceMode::Off,
+                auto_analyze_threshold: None,
+                ..TableOptions::default()
+            },
+        );
         let mut served = Vec::new();
         for q in &queries {
-            served.push(bits(t.estimate(q)));
+            served.push(t.estimate(q).to_bits());
         }
         if maintained {
             // Off must audit and then change nothing.
@@ -274,7 +252,7 @@ fn maintenance_off_serves_bit_identical_to_never_maintaining() {
             assert_eq!(report.action, MaintenanceAction::None, "{report}");
         }
         for q in &queries {
-            served.push(bits(t.estimate(q)));
+            served.push(t.estimate(q).to_bits());
         }
         let stats = t
             .current_snapshot()
@@ -294,38 +272,47 @@ fn maintenance_off_serves_bit_identical_to_never_maintaining() {
 
 // ---------------------------------------------------------------------
 // Exhaustive matrix: dataset × bucket budget × feedback volume.
-// Gated behind `--features refine`; CI runs it single-threaded.
+// Gated behind `--features exhaustive`; CI runs it single-threaded.
 // ---------------------------------------------------------------------
 
-#[cfg(feature = "refine")]
+#[cfg(feature = "exhaustive")]
 #[test]
 fn exhaustive_refine_matrix_holds_all_invariants() {
-    let datasets: Vec<(&str, Dataset)> = vec![
-        ("charminar", charminar_with(6_000, 29)),
-        (
-            "uniform",
-            uniform_rects(6_000, Rect::new(0.0, 0.0, 1_000.0, 1_000.0), 4.0, 4.0, 31),
-        ),
-    ];
-    for (name, data) in &datasets {
+    // Budget and partition faults are collected rather than raised on the
+    // spot, so one faulty cell does not hide what the rest of the matrix
+    // checks; the test still fails if any cell has one.
+    let mut faults = Vec::new();
+    for (name, data) in &common::datasets(common::SCALE) {
         let root = data.stats().mbr;
-        let queries = queries_for(data);
-        for buckets in [8usize, 24, 64] {
+        let queries = queries_for(root);
+        for &buckets in common::BUDGETS {
             let hist = MinSkewBuilder::new(buckets).regions(1_024).build(data);
+            if let Some((p, owners)) = partition_faults(&hist, &root).first() {
+                faults.push(format!(
+                    "{name} beta={buckets} built: point ({}, {}) owned by {owners} buckets",
+                    p.x, p.y
+                ));
+            }
             for volume in [1usize, 7, queries.len()] {
                 for steps in [1usize, 4] {
                     let subset: Vec<Rect> = queries.iter().copied().take(volume).collect();
                     let refined =
                         refine_steps(data, &hist, &subset, steps, &RefineOptions::default());
                     let label = format!("{name} beta={buckets} obs={volume} steps={steps}");
-                    assert!(
-                        refined.num_buckets() <= hist.num_buckets() + 1,
-                        "{label}: budget must hold (got {} from {})",
-                        refined.num_buckets(),
-                        hist.num_buckets()
-                    );
+                    if refined.num_buckets() > hist.num_buckets() + 1 {
+                        faults.push(format!(
+                            "{label}: budget must hold (got {} from {})",
+                            refined.num_buckets(),
+                            hist.num_buckets()
+                        ));
+                    }
                     assert_sane(&refined, &queries);
-                    assert_partition(&refined, &root);
+                    if let Some((p, owners)) = partition_faults(&refined, &root).first() {
+                        faults.push(format!(
+                            "{label}: point ({}, {}) owned by {owners} buckets",
+                            p.x, p.y
+                        ));
+                    }
                     assert_round_trips(&refined);
                     // Determinism across a re-run of the same schedule.
                     let again =
@@ -335,4 +322,10 @@ fn exhaustive_refine_matrix_holds_all_invariants() {
             }
         }
     }
+    assert!(
+        faults.is_empty(),
+        "{} faults in the refine matrix:\n{}",
+        faults.len(),
+        faults.join("\n")
+    );
 }

@@ -7,6 +7,10 @@
 //!
 //! The fixture data is chosen so estimates are trivially exact (`OK 4`),
 //! making the estimate replies themselves part of the golden transcript.
+//! Under `--features exhaustive` the whole shared corpus in `tests/common`
+//! also goes through the wire, as `ESTIMATE`s and as `BATCH`es.
+
+mod common;
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -473,6 +477,73 @@ fn batch_replies_preserve_request_order_and_library_bits() {
     handle.shutdown();
 }
 
+/// The wire form of a query's coordinates. `Display` prints the shortest
+/// decimal that round-trips, so the server parses back the exact bits.
+fn coords(q: &Rect) -> String {
+    format!("{} {} {} {}", q.lo.x, q.lo.y, q.hi.x, q.hi.y)
+}
+
+/// The values of an `OK <v1> <v2> ...` reply.
+fn parse_ok(reply: &str) -> Vec<f64> {
+    reply
+        .strip_prefix("OK ")
+        .unwrap_or_else(|| panic!("expected an OK reply, got {reply:?}"))
+        .split(' ')
+        .map(|t| t.parse().expect("parse estimate"))
+        .collect()
+}
+
+/// Sends every query to `table` as an `ESTIMATE`, then all of them as one
+/// `BATCH`, and asserts each reply carries exactly the bits `expected`
+/// gives for the rectangle the server parses. A query with a non-finite
+/// coordinate must be refused with a usage error, alone or in a batch.
+fn assert_wire_bits(
+    c: &mut Client,
+    table: &str,
+    queries: &[Rect],
+    expected: impl Fn(&Rect) -> f64,
+    context: &str,
+) {
+    let mut finite = Vec::new();
+    let mut want = Vec::new();
+    for q in queries {
+        let reply = c.send(&format!("ESTIMATE {table} {}", coords(q)));
+        match Rect::try_new(q.lo.x, q.lo.y, q.hi.x, q.hi.y) {
+            Ok(parsed) => {
+                let value = expected(&parsed);
+                assert_eq!(
+                    parse_ok(&reply)[0].to_bits(),
+                    value.to_bits(),
+                    "ESTIMATE changed the bits: {context} q={q} want={value} reply={reply:?}"
+                );
+                finite.push(*q);
+                want.push(value);
+            }
+            Err(_) => assert!(
+                reply.starts_with("ERR 2 "),
+                "non-finite ESTIMATE not refused: {context} q={q} reply={reply:?}"
+            ),
+        }
+    }
+    let batch = |qs: &[Rect]| {
+        let body: Vec<String> = qs.iter().map(coords).collect();
+        format!("BATCH {table} {} {}", qs.len(), body.join(" "))
+    };
+    let reply = c.send(&batch(&finite));
+    assert_eq!(
+        common::bits(&parse_ok(&reply)),
+        common::bits(&want),
+        "BATCH changed the bits or the order: {context}"
+    );
+    if finite.len() < queries.len() {
+        let reply = c.send(&batch(queries));
+        assert!(
+            reply.starts_with("ERR 2 "),
+            "BATCH with a non-finite query not refused: {context} reply={reply:?}"
+        );
+    }
+}
+
 #[test]
 fn estimates_over_the_wire_are_bit_identical_to_the_library() {
     // The wire uses shortest-round-trip f64 formatting, so parsing the
@@ -489,36 +560,58 @@ fn estimates_over_the_wire_are_bit_identical_to_the_library() {
         }
         table.analyze();
     }
-    let handle = serve(catalog, ServeOptions::default()).expect("bind");
+    let handle = serve(catalog.clone(), ServeOptions::default()).expect("bind");
     let mut c = Client::connect(handle.addr());
     let mbr = data.stats().mbr;
     let (w, h) = (mbr.width(), mbr.height());
-    let table = entry.table();
-    for i in 0..25 {
-        let f = i as f64 / 25.0;
-        let q = Rect::new(
-            mbr.lo.x + f * w * 0.8,
-            mbr.lo.y + (1.0 - f) * h * 0.8,
-            mbr.lo.x + f * w * 0.8 + 0.1 * w,
-            mbr.lo.y + (1.0 - f) * h * 0.8 + 0.1 * h,
-        );
-        let expected = table.estimate(&q);
-        let reply = c.send(&format!(
-            "ESTIMATE roads {} {} {} {}",
-            q.lo.x, q.lo.y, q.hi.x, q.hi.y
-        ));
-        let value: f64 = reply
-            .strip_prefix("OK ")
-            .expect("estimate reply")
-            .parse()
-            .expect("parse estimate");
-        assert_eq!(
-            expected.to_bits(),
-            value.to_bits(),
-            "wire round trip changed the bits: query {i}, reply {reply:?}"
-        );
+    let queries: Vec<Rect> = (0..25)
+        .map(|i| {
+            let f = i as f64 / 25.0;
+            let (x, y) = (mbr.lo.x + f * w * 0.8, mbr.lo.y + (1.0 - f) * h * 0.8);
+            Rect::new(x, y, x + 0.1 * w, y + 0.1 * h)
+        })
+        .collect();
+    {
+        let table = entry.table();
+        let library = |q: &Rect| table.estimate(q);
+        assert_wire_bits(&mut c, "roads", &queries, library, "charminar");
     }
-    drop(table);
+    if common::EXHAUSTIVE {
+        // The whole corpus: every histogram is installed into a table
+        // holding its dataset's rows, and every wire reply must equal the
+        // reference fold clamped to [0, rows] — which the library must
+        // serve too.
+        for (name, data) in common::datasets(common::SCALE) {
+            let entry = catalog
+                .create(name, TableOptions::default())
+                .expect("create");
+            for r in data.rects() {
+                entry.table().insert(*r);
+            }
+            let mbr = data.stats().mbr;
+            for (context, hist) in common::histograms(name, &data) {
+                entry.table().load_stats(&hist.to_bytes());
+                let table = entry.table();
+                let rows = table.len() as f64;
+                let oracle = |q: &Rect| {
+                    let raw = hist.estimate_count_reference(q);
+                    let served = if raw.is_finite() {
+                        raw.clamp(0.0, rows)
+                    } else {
+                        0.0
+                    };
+                    assert_eq!(
+                        table.estimate(q).to_bits(),
+                        served.to_bits(),
+                        "library diverged from the clamped reference: {context} q={q}"
+                    );
+                    served
+                };
+                let queries = common::adversarial_queries(&hist, mbr);
+                assert_wire_bits(&mut c, name, &queries, oracle, &context);
+            }
+        }
+    }
     handle.shutdown();
 }
 

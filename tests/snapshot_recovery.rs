@@ -9,50 +9,21 @@
 //!    and every estimate stays finite and clamped to `[0, N]`.
 //!
 //! Nothing in between: no panic, no silent mis-decode, no unbounded
-//! estimate, no stuck table. The base tests run under plain `cargo test`;
-//! the exhaustive fault × technique × seed matrix runs under
-//! `--features snapshot` (CI tier), and the arbitrary-byte-mutation
-//! property tests under `--features proptest`.
+//! estimate, no stuck table. The table fixtures are the shared ones in
+//! `tests/common`; this suite's own axis is the fault kind. The base tests
+//! run under plain `cargo test`; the exhaustive fault × technique × seed
+//! matrix runs under `--features exhaustive`, and the arbitrary-byte-
+//! mutation property tests under `--features proptest`.
 
+mod common;
+
+use common::{analyzed_table, STATS_TECHNIQUES};
 use minskew::prelude::*;
 
 fn tmp_dir(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("minskew-snaprec-{}-{name}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     dir
-}
-
-const TECHNIQUES: [StatsTechnique; 4] = [
-    StatsTechnique::MinSkew,
-    StatsTechnique::EquiArea,
-    StatsTechnique::EquiCount,
-    StatsTechnique::Uniform,
-];
-
-fn technique_label(t: StatsTechnique) -> &'static str {
-    match t {
-        StatsTechnique::MinSkew => "min-skew",
-        StatsTechnique::EquiArea => "equi-area",
-        StatsTechnique::EquiCount => "equi-count",
-        StatsTechnique::Uniform => "uniform",
-    }
-}
-
-fn analyzed_table(technique: StatsTechnique, n: usize, seed: u64) -> SpatialTable {
-    let mut t = SpatialTable::new(TableOptions {
-        analyze: AnalyzeOptions {
-            technique,
-            buckets: 24,
-            regions: 1_024,
-            ..AnalyzeOptions::default()
-        },
-        ..TableOptions::default()
-    });
-    for r in minskew::datagen::charminar_with(n, seed).rects() {
-        t.insert(*r);
-    }
-    t.analyze();
-    t
 }
 
 /// The core differential: corrupt a valid snapshot with `kind`, then prove
@@ -63,11 +34,8 @@ fn assert_recovery_contract(
     kind: FaultKind,
     seed: u64,
 ) {
-    let label = format!("{}/{kind:?}/seed{seed}", technique_label(technique));
-    let path = dir.join(format!(
-        "{}-{kind:?}-{seed}.snap",
-        technique_label(technique)
-    ));
+    let label = format!("{technique:?}/{kind:?}/seed{seed}");
+    let path = dir.join(format!("{technique:?}-{kind:?}-{seed}.snap"));
     let table = analyzed_table(technique, 1_200, seed);
     let pristine = table.stats().expect("analyzed").to_bytes();
     table.save_snapshot(&path).expect("save");
@@ -164,8 +132,8 @@ fn every_fault_kind_recovers_on_min_skew() {
 #[test]
 fn clean_round_trip_is_byte_identical_for_every_technique() {
     let dir = tmp_dir("clean");
-    for technique in TECHNIQUES {
-        let path = dir.join(format!("{}.snap", technique_label(technique)));
+    for technique in STATS_TECHNIQUES {
+        let path = dir.join(format!("{technique:?}.snap"));
         let table = analyzed_table(technique, 900, 7);
         let info = table.save_snapshot(&path).expect("save");
         assert_eq!(info.version, FormatVersion::Container);
@@ -174,8 +142,7 @@ fn clean_round_trip_is_byte_identical_for_every_technique() {
         assert_eq!(
             fresh.stats().expect("installed").to_bytes(),
             table.stats().expect("analyzed").to_bytes(),
-            "{}: round trip must preserve bytes",
-            technique_label(technique)
+            "{technique:?}: round trip must preserve bytes"
         );
         // verify is read-only and agrees.
         let on_disk = std::fs::read(&path).expect("readable");
@@ -243,12 +210,12 @@ fn transient_write_faults_are_retried_and_permanent_ones_leave_dest_intact() {
 
 /// Exhaustive CI matrix: every snapshot fault kind × every technique ×
 /// several seeds. Run with `cargo test --test snapshot_recovery
-/// --features snapshot`.
-#[cfg(feature = "snapshot")]
+/// --features exhaustive`.
+#[cfg(feature = "exhaustive")]
 #[test]
 fn exhaustive_fault_technique_matrix() {
     let dir = tmp_dir("matrix");
-    for technique in TECHNIQUES {
+    for technique in STATS_TECHNIQUES {
         for kind in FaultKind::SNAPSHOT {
             for seed in [1u64, 2, 3, 17, 1_000_003] {
                 assert_recovery_contract(&dir, technique, kind, seed);

@@ -5,9 +5,9 @@
 //!
 //! 1. **EXPLAIN recomputes, never re-derives.** The explained estimate
 //!    (`SpatialHistogram::estimate_count_explained`) and its ordered
-//!    per-bucket term sum must be bitwise equal to the indexed serving
-//!    path (`estimate_count_indexed`) for every technique, every extension
-//!    rule, and every adversarial query shape — and the engine-level trace
+//!    per-bucket term sum must be bitwise equal to the reference fold and
+//!    the indexed serving path (`estimate_count_indexed`) on the whole
+//!    shared corpus — and the engine-level trace
 //!    (`SpatialTable::try_explain` / `SpatialReader::try_explain`) must
 //!    report exactly the bits the corresponding estimate entry point
 //!    returns, through the cache and clamping layers.
@@ -18,96 +18,22 @@
 //!    must produce bit-identical estimates to an identically-built table
 //!    with the recorder off, and to one with metrics off entirely.
 //!
-//! The base matrix below always runs (tier 1). The `trace` feature turns
-//! on the exhaustive cross product on larger inputs. CI also re-runs the
-//! suite with `minskew-obs`'s `noop` feature (recorder compiled out) and
-//! under `RUST_TEST_THREADS=1`.
+//! The corpus and the table fixtures are the shared ones in
+//! `tests/common`; this suite's own axis is trace arming.
+//! `--features exhaustive` scales the corpus up and crosses every
+//! technique with every recorder configuration. CI runs the suite on one
+//! test thread and re-runs it with `minskew-obs`'s `noop` feature
+//! (recorder compiled out).
 
+mod common;
+
+use common::{adversarial_queries, datasets, filled_table, histograms, queries_for};
 use minskew::prelude::*;
-use minskew_datagen::{charminar_with, uniform_rects, SyntheticSpec};
+use minskew_datagen::charminar_with;
 
-const RULES: [ExtensionRule; 3] = [
-    ExtensionRule::Minkowski,
-    ExtensionRule::PaperLiteral,
-    ExtensionRule::None,
-];
-
-fn datasets(scale: usize) -> Vec<(&'static str, Dataset)> {
-    vec![
-        ("charminar", charminar_with(1_600 * scale, 71)),
-        (
-            "synthetic",
-            SyntheticSpec::default().with_n(1_000 * scale).generate(73),
-        ),
-        (
-            "uniform",
-            uniform_rects(
-                900 * scale,
-                Rect::new(0.0, 0.0, 10_000.0, 10_000.0),
-                40.0,
-                40.0,
-                79,
-            ),
-        ),
-        (
-            "point-pile",
-            Dataset::new(vec![Rect::new(5.0, 5.0, 5.0, 5.0); 48]),
-        ),
-    ]
-}
-
-/// All seven bucket-histogram techniques over one dataset.
-fn techniques(data: &Dataset, buckets: usize) -> Vec<SpatialHistogram> {
-    vec![
-        MinSkewBuilder::new(buckets).regions(1_024).build(data),
-        build_equi_area(data, buckets),
-        build_equi_count(data, buckets),
-        build_rtree_partitioning_default(data, buckets),
-        build_uniform(data),
-        build_grid(data, buckets),
-        build_optimal_bsp(data, buckets.min(8), 8).histogram,
-    ]
-}
-
-/// Edge-adversarial query mix derived from the histogram's own bucket
-/// bounds (exact MBRs, corner points, zero-overlap edge touches,
-/// degenerate lines), plus global covers, far-disjoint shapes, and a size
-/// sweep — the same hard cases the kernel differential uses.
-fn adversarial_queries(hist: &SpatialHistogram, mbr: Rect) -> Vec<Rect> {
-    let (w, h) = (mbr.width().max(1.0), mbr.height().max(1.0));
-    let mut out = Vec::new();
-    for b in hist.buckets().iter().take(6) {
-        let m = b.mbr;
-        out.push(m);
-        out.push(Rect::from_point(m.lo));
-        out.push(Rect::from_point(m.hi));
-        out.push(Rect::new(m.lo.x - w, m.lo.y, m.lo.x, m.hi.y));
-        out.push(Rect::new(m.hi.x, m.lo.y, m.hi.x + w, m.hi.y));
-        let cx = (m.lo.x + m.hi.x) / 2.0;
-        let cy = (m.lo.y + m.hi.y) / 2.0;
-        out.push(Rect::new(cx, m.lo.y - h, cx, m.hi.y + h));
-        out.push(Rect::new(m.lo.x - w, cy, m.hi.x + w, cy));
-    }
-    out.push(mbr);
-    out.push(mbr.expanded(w, h));
-    out.push(Rect::new(
-        mbr.hi.x + 3.0 * w,
-        mbr.hi.y + 3.0 * h,
-        mbr.hi.x + 4.0 * w,
-        mbr.hi.y + 4.0 * h,
-    ));
-    for i in 0..8 {
-        let f = i as f64 / 8.0;
-        let x = mbr.lo.x + f * w * 0.85;
-        let y = mbr.lo.y + (1.0 - f) * h * 0.85;
-        out.push(Rect::new(x, y, x + 0.12 * w, y + 0.12 * h));
-    }
-    out
-}
-
-/// Asserts the explained scan agrees with the indexed serving path bit for
-/// bit, and that the trace is internally consistent: the ordered term sum
-/// reproduces the headline, terms are unique and sorted by bucket id, and
+/// Asserts the explained scan, its ordered term sum and the indexed
+/// serving path all return the reference fold's bits, and that the trace
+/// is internally consistent: terms are unique and sorted by bucket id, and
 /// the pruning counters account for every bucket.
 fn assert_trace_differential(
     context: &str,
@@ -116,24 +42,22 @@ fn assert_trace_differential(
     scratch: &mut IndexScratch,
 ) {
     for q in queries {
+        let reference = hist.estimate_count_reference(q);
         let indexed = hist.estimate_count_indexed(q, scratch);
         let trace = hist.estimate_count_explained(q, scratch);
-        assert_eq!(
-            indexed.to_bits(),
-            trace.estimate().to_bits(),
-            "explained estimate diverged from the indexed path: {context} \
-             technique={} q={q} (indexed={indexed}, explained={})",
-            hist.name(),
-            trace.estimate(),
-        );
         let sum = trace.kernel.term_sum();
-        assert_eq!(
-            indexed.to_bits(),
-            sum.to_bits(),
-            "ordered term sum does not reproduce the estimate: {context} \
-             technique={} q={q} (estimate={indexed}, term_sum={sum})",
-            hist.name(),
-        );
+        for (path, value) in [
+            ("indexed estimate", indexed),
+            ("explained estimate", trace.estimate()),
+            ("ordered term sum", sum),
+        ] {
+            assert_eq!(
+                reference.to_bits(),
+                value.to_bits(),
+                "{path} diverged from the reference fold: {context} q={q} \
+                 (reference={reference}, got={value})",
+            );
+        }
         assert_eq!(trace.rule, hist.extension_rule(), "{context}");
         assert_eq!(trace.num_buckets, hist.num_buckets(), "{context}");
         let terms = &trace.kernel.terms;
@@ -174,66 +98,13 @@ fn assert_trace_differential(
 #[test]
 fn explained_estimate_is_bitwise_identical_to_indexed() {
     let mut scratch = IndexScratch::new();
-    for (name, data) in datasets(1) {
+    for (name, data) in datasets(common::SCALE) {
         let mbr = data.stats().mbr;
-        for hist in techniques(&data, 24) {
-            for rule in RULES {
-                let hist = hist.clone().with_extension_rule(rule);
-                let queries = adversarial_queries(&hist, mbr);
-                let context = format!("dataset={name} rule={rule:?}");
-                assert_trace_differential(&context, &hist, &queries, &mut scratch);
-            }
+        for (context, hist) in histograms(name, &data) {
+            let queries = adversarial_queries(&hist, mbr);
+            assert_trace_differential(&context, &hist, &queries, &mut scratch);
         }
     }
-}
-
-#[cfg(feature = "trace")]
-#[test]
-fn explained_matrix_exhaustive() {
-    let mut scratch = IndexScratch::new();
-    for (name, data) in datasets(3) {
-        let mbr = data.stats().mbr;
-        for buckets in [8, 48, 96] {
-            for hist in techniques(&data, buckets) {
-                for rule in RULES {
-                    let hist = hist.clone().with_extension_rule(rule);
-                    let queries = adversarial_queries(&hist, mbr);
-                    let context = format!("dataset={name} buckets={buckets} rule={rule:?}");
-                    assert_trace_differential(&context, &hist, &queries, &mut scratch);
-                }
-            }
-        }
-    }
-}
-
-/// Standard serving workload for the engine-level tests.
-fn engine_queries(mbr: Rect) -> Vec<Rect> {
-    let (w, h) = (mbr.width().max(1.0), mbr.height().max(1.0));
-    let mut out = Vec::new();
-    for i in 0..40 {
-        let f = f64::from(i) / 40.0;
-        let x = mbr.lo.x + f * w * 0.9;
-        let y = mbr.lo.y + (1.0 - f) * h * 0.9;
-        out.push(Rect::new(x, y, x + 0.08 * w, y + 0.08 * h));
-    }
-    out.push(mbr);
-    out.push(mbr.expanded(w, h)); // clamps against live rows
-    out.push(Rect::new(
-        mbr.hi.x + w,
-        mbr.hi.y + h,
-        mbr.hi.x + 2.0 * w,
-        mbr.hi.y + 2.0 * h,
-    ));
-    out
-}
-
-fn filled_table(data: &Dataset, options: TableOptions) -> SpatialTable {
-    let mut table = SpatialTable::new(options);
-    for r in data.rects() {
-        table.insert(*r);
-    }
-    table.analyze();
-    table
 }
 
 #[test]
@@ -242,7 +113,7 @@ fn engine_explain_reports_exactly_the_served_bits() {
     let mbr = data.stats().mbr;
     let table = filled_table(&data, TableOptions::default());
     let mut reader = table.reader();
-    for q in engine_queries(mbr) {
+    for q in queries_for(mbr) {
         let trace = table.try_explain(&q).expect("finite query");
         let served = table.estimate(&q);
         assert_eq!(
@@ -336,7 +207,7 @@ fn recorder_configs() -> Vec<(&'static str, TableOptions)> {
 fn flight_recorder_is_bit_invisible_to_estimates() {
     let data = charminar_with(1_800, 89);
     let mbr = data.stats().mbr;
-    let queries = engine_queries(mbr);
+    let queries = queries_for(mbr);
     let mut baseline: Option<Vec<u64>> = None;
     for (name, options) in recorder_configs() {
         let table = filled_table(&data, options);
@@ -375,7 +246,7 @@ fn armed_recorder_captures_slow_sampled_and_wrong_queries() {
     let mbr = data.stats().mbr;
     let (_, options) = recorder_configs().remove(0);
     let table = filled_table(&data, options);
-    for q in engine_queries(mbr) {
+    for q in queries_for(mbr) {
         let _ = table.estimate(&q);
     }
     let recorder = table.flight_recorder();
@@ -412,25 +283,20 @@ fn armed_recorder_captures_slow_sampled_and_wrong_queries() {
     // A disarmed twin records nothing through the same workload.
     let (_, disarmed) = recorder_configs().remove(1);
     let table = filled_table(&data, disarmed);
-    for q in engine_queries(mbr) {
+    for q in queries_for(mbr) {
         let _ = table.estimate(&q);
     }
     assert_eq!(table.flight_recorder().total(), 0);
 }
 
-#[cfg(feature = "trace")]
+#[cfg(feature = "exhaustive")]
 #[test]
 fn recorder_matrix_exhaustive_bit_invisibility() {
     // Every technique × recorder config serves one bit pattern per query
     // stream.
-    for technique in [
-        StatsTechnique::MinSkew,
-        StatsTechnique::EquiArea,
-        StatsTechnique::EquiCount,
-        StatsTechnique::Uniform,
-    ] {
+    for technique in common::STATS_TECHNIQUES {
         let data = charminar_with(2_400, 101);
-        let queries = engine_queries(data.stats().mbr);
+        let queries = queries_for(data.stats().mbr);
         let mut baseline: Option<Vec<u64>> = None;
         for (name, mut options) in recorder_configs() {
             options.analyze.technique = technique;
