@@ -35,7 +35,10 @@
 #      differential contract inline and must write its artifact under
 #      target/bench-smoke/, with the qps_kernel and recorder_overhead_pct
 #      columns present; the committed full-scale artifacts at the root
-#      are never touched.
+#      are never touched;
+#  15. the wire benchmark's self-test (perfbench, its own workspace, which
+#      links the kernel and the engine API): every workload at reduced
+#      scale, with its bit-for-bit reply checks.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -220,5 +223,8 @@ if ! grep -q '"recorder_overhead_pct"' "$SMOKE/BENCH_obs.json"; then
     echo "ERROR: BENCH_obs.json is missing the flight-recorder column" >&2
     exit 1
 fi
+
+echo "==> perfbench self-test (reduced scale)"
+cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- --self-test
 
 echo "CI OK"

@@ -1,10 +1,10 @@
 //! The shared bucket-set estimator used by every partitioning technique.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
-use minskew_geom::Rect;
+use minskew_geom::{Point, Rect};
 
-use crate::kernel::{BucketPlane, KernelExplain, QueryPrep};
+use crate::kernel::{BucketPlane, KernelExplain, PlaneGeometry, QueryPrep};
 use crate::{Bucket, ExtensionRule, IndexScratch, SpatialEstimator};
 
 /// The structured result of
@@ -66,14 +66,32 @@ pub struct SpatialHistogram {
     /// (`rule.amounts(avg_width, avg_height)` per bucket), computed once per
     /// histogram so the per-query scan does not re-derive them. Invalidated
     /// (with [`SpatialHistogram::total`] and [`SpatialHistogram::plane`])
-    /// whenever the buckets or the rule change; excluded from equality.
+    /// whenever a count, an average size or the rule changes; excluded
+    /// from equality.
     ext: OnceLock<Vec<(f64, f64)>>,
     /// Cached [`SpatialHistogram::total_count`].
     total: OnceLock<f64>,
+    /// The MBR-only half of the kernel plane, built lazily. The cell itself
+    /// is shared (`Arc`) by every clone and survives maintenance and rule
+    /// swaps, which never move an MBR; only [`SpatialHistogram::from_parts`]
+    /// — the one way to a new partition — starts a new cell. So each
+    /// snapshot a table publishes after `INSERT`/`DELETE` reuses the
+    /// geometry a reader already built for the previous one.
+    geometry: Arc<OnceLock<PlaneGeometry>>,
     /// Lazily built SoA mirror of the buckets for the vectorised
-    /// clip-and-accumulate kernel; see [`BucketPlane`]. Invalidated with
-    /// the other caches whenever the buckets or the rule change.
+    /// clip-and-accumulate kernel; see [`BucketPlane`]. Its weights are
+    /// invalidated with the other caches; its geometry comes from the
+    /// `geometry` cell.
     plane: OnceLock<BucketPlane>,
+}
+
+/// The data statistics of one bucket, reached through
+/// [`SpatialHistogram::covering_bucket_mut`]: everything a data change may
+/// move. The MBR is deliberately absent — only a rebuild moves it.
+pub(crate) struct BucketStatsMut<'a> {
+    pub count: &'a mut f64,
+    pub avg_width: &'a mut f64,
+    pub avg_height: &'a mut f64,
 }
 
 impl PartialEq for SpatialHistogram {
@@ -104,6 +122,7 @@ impl SpatialHistogram {
             base_len: input_len,
             ext: OnceLock::new(),
             total: OnceLock::new(),
+            geometry: Arc::default(),
             plane: OnceLock::new(),
         };
         // Seed the cheap O(B) caches eagerly (the kernel plane stays lazy —
@@ -113,14 +132,22 @@ impl SpatialHistogram {
         hist
     }
 
-    /// Mutable bucket access for maintenance. Invalidates every derived
-    /// cache: the extension constants, the cached total, and the kernel
-    /// plane are all functions of the bucket array.
-    pub(crate) fn buckets_mut(&mut self) -> &mut [Bucket] {
+    /// Mutable access to the data statistics of the first bucket whose MBR
+    /// contains `p` — the bucket maintenance credits a data change to — or
+    /// `None` when no bucket covers `p`. Drops the caches derived from
+    /// those statistics (extension amounts, total, plane weights); the
+    /// plane geometry depends only on the MBRs, which this cannot reach,
+    /// and survives.
+    pub(crate) fn covering_bucket_mut(&mut self, p: Point) -> Option<BucketStatsMut<'_>> {
+        let bucket = self.buckets.iter_mut().find(|b| b.mbr.contains_point(p))?;
         self.ext.take();
         self.total.take();
         self.plane.take();
-        &mut self.buckets
+        Some(BucketStatsMut {
+            count: &mut bucket.count,
+            avg_width: &mut bucket.avg_width,
+            avg_height: &mut bucket.avg_height,
+        })
     }
 
     /// Per-bucket extension amounts under the active rule, computed once.
@@ -169,7 +196,8 @@ impl SpatialHistogram {
 
     /// Returns the histogram with a different extension rule (for
     /// ablation experiments). Rule-dependent caches (extension constants,
-    /// kernel plane) are invalidated and rebuilt on next use.
+    /// kernel plane weights) are invalidated and rebuilt on next use; the
+    /// plane geometry does not depend on the rule and is kept.
     pub fn with_extension_rule(mut self, rule: ExtensionRule) -> SpatialHistogram {
         if rule != self.rule {
             self.rule = rule;
@@ -189,10 +217,25 @@ impl SpatialHistogram {
     }
 
     /// The SoA kernel plane over this histogram's buckets, built lazily on
-    /// first use and cached until the buckets or the extension rule change.
+    /// first use and cached until a count, an average size or the
+    /// extension rule changes. A rebuild after such a change reuses the
+    /// shared geometry and only gathers the weights again; the result is
+    /// column-for-column [`BucketPlane::build`]'s.
     pub fn bucket_plane(&self) -> &BucketPlane {
-        self.plane
-            .get_or_init(|| BucketPlane::build(&self.buckets, self.rule))
+        self.plane.get_or_init(|| {
+            let geometry = self
+                .geometry
+                .get_or_init(|| PlaneGeometry::build(&self.buckets));
+            BucketPlane::with_geometry(geometry.clone(), &self.buckets, self.rule)
+        })
+    }
+
+    /// `true` when `self` and `other` share one kernel plane geometry: one
+    /// is a clone of the other (or of a common ancestor) with no new
+    /// partition installed in between. Exposed for the test suites.
+    #[doc(hidden)]
+    pub fn shares_plane_geometry(&self, other: &SpatialHistogram) -> bool {
+        Arc::ptr_eq(&self.geometry, &other.geometry)
     }
 
     /// The reference linear scan: the AoS fold over
@@ -369,7 +412,7 @@ mod tests {
         let fp = h.serving_footprint();
         assert_eq!(
             fp.plane,
-            2 * 9 * 8 + 4 * 7 * 8 + 4 * 4 + 4 * 6 * 8 + 4 * 6 * 8
+            2 * 7 * 8 + 4 * 7 * 8 + 4 * 4 + 4 * 6 * 8 + 4 * 6 * 8
         );
         assert_eq!(h.size_bytes(), fp.total());
         assert!(h.size_bytes() > h.summary_bytes());
@@ -448,8 +491,10 @@ mod tests {
     fn caches_invalidate_on_bucket_mutation_and_rule_swap() {
         let mut h = two_bucket_hist();
         assert_eq!(h.total_count(), 100.0);
-        let _ = h.bucket_plane(); // force-build the lazy plane
-        h.buckets_mut()[0].count = 0.0;
+        let before = h.bucket_plane().clone(); // force-build the lazy plane
+        *h.covering_bucket_mut(Point::new(5.0, 5.0))
+            .expect("bucket 0 covers its centre")
+            .count = 0.0;
         assert_eq!(h.total_count(), 40.0, "total cache must invalidate");
         let mut scratch = IndexScratch::new();
         let q = Rect::new(0.0, 0.0, 15.0, 10.0);
@@ -458,8 +503,16 @@ mod tests {
             h.estimate_count_indexed(&q, &mut scratch).to_bits(),
             "plane cache must invalidate with the buckets"
         );
+        // The weights were rebuilt over the geometry built before the
+        // mutation, and equal a fresh build bit for bit.
+        assert!(before.geom.shares_columns(&h.bucket_plane().geom));
+        assert_eq!(
+            h.bucket_plane().column_bits(),
+            BucketPlane::build(h.buckets(), h.extension_rule()).column_bits()
+        );
         // Rule swap invalidates the extension table + plane but not total.
-        let h2 = h.with_extension_rule(ExtensionRule::PaperLiteral);
+        let h2 = h.clone().with_extension_rule(ExtensionRule::PaperLiteral);
+        assert!(h2.shares_plane_geometry(&h));
         assert_eq!(h2.total_count(), 40.0);
         assert_eq!(
             h2.estimate_count(&q).to_bits(),

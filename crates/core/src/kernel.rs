@@ -6,12 +6,17 @@
 //! The reference estimator folds [`Bucket::estimate_with_extension`] over an
 //! AoS `Vec<Bucket>`: every bucket costs two early-exit branches, a `Rect`
 //! construction, and scattered loads across a 56-byte struct, so the
-//! per-bucket cost *is* the serving floor. [`BucketPlane`] stores the same
-//! nine per-bucket words
-//! (`x1/y1/x2/y2/count/avg_w/avg_h/ex/ey`) as separate contiguous `f64`
-//! slices so the clip-and-accumulate loop streams cache lines instead of
-//! striding structs, and rewrites the loop in a branchless
+//! per-bucket cost *is* the serving floor. [`BucketPlane`] stores the
+//! seven per-bucket words the fold reads (`x1/y1/x2/y2/count/ex/ey`, the
+//! extension amounts derived once from the average sizes) as separate
+//! contiguous `f64` slices so the clip-and-accumulate loop streams cache
+//! lines instead of striding structs, and rewrites the loop in a branchless
 //! min/max/clamp-to-zero form that LLVM can autovectorize.
+//!
+//! The MBR columns, the Morton order and the block/quad union MBRs depend
+//! on the partition alone. They live in a shared geometry that survives
+//! `INSERT`/`DELETE` maintenance (which moves only counts and average
+//! sizes), so re-serving after a write rebuilds only the weight columns.
 //!
 //! # The bit-identity contract
 //!
@@ -74,6 +79,8 @@
 //! filter, where `-0.0 == +0.0` and the NaN behaviours above agree between
 //! the scalar and vector forms.
 
+use std::sync::Arc;
+
 use minskew_geom::Rect;
 
 use crate::{Bucket, ExtensionRule};
@@ -118,11 +125,10 @@ const QUAD: usize = 4;
 /// Structure-of-arrays mirror of a histogram's buckets plus the per-bucket
 /// extension amounts under one [`ExtensionRule`].
 ///
-/// Built lazily by [`crate::SpatialHistogram`] and invalidated by the same
-/// `OnceLock` discipline as its other derived caches (any bucket mutation or
-/// rule change drops it). All fine columns have identical length and are in
-/// bucket-id order, so [`BucketPlane::accumulate`] streams them in exactly
-/// the reference fold order.
+/// Built lazily by [`crate::SpatialHistogram`]. All fine columns have
+/// identical length and are in bucket-id order, so
+/// [`BucketPlane::accumulate`] streams them in exactly the reference fold
+/// order.
 ///
 /// The plane additionally keeps a **Morton mirror** for the pruned serving
 /// path ([`BucketPlane::accumulate_pruned`]): the fold columns permuted
@@ -135,54 +141,73 @@ const QUAD: usize = 4;
 /// are monotone, so the query extended by the block maxima contains every
 /// member's extended query) proves a failed block test means every
 /// member's term is exactly `+0.0`.
-#[derive(Debug, Clone, Default)]
+///
+/// The plane has two parts. The geometry (every column derived from the
+/// MBRs alone, `morder` included) is `Arc`-shared, column by column, by
+/// the planes over one partition. The **weights** (counts, extension
+/// amounts and their block/quad maxima) are the plane's own and are
+/// rebuilt by one O(β) gather over the shared `morder`
+/// (`BucketPlane::with_geometry`), so a data change that moves only
+/// counts and average sizes never re-sorts the mirror.
+#[derive(Debug, Clone)]
 pub struct BucketPlane {
-    x1: Vec<f64>,
-    y1: Vec<f64>,
-    x2: Vec<f64>,
-    y2: Vec<f64>,
+    pub(crate) geom: PlaneGeometry,
     count: Vec<f64>,
-    avg_w: Vec<f64>,
-    avg_h: Vec<f64>,
-    /// Per-bucket extension amounts, `rule.amounts(avg_w, avg_h)` — the
-    /// same values [`crate::SpatialHistogram`] caches in its extension
-    /// table, so using them is bit-identical to re-deriving them.
+    /// Per-bucket extension amounts, `rule.amounts(avg_width, avg_height)`
+    /// — the same values [`crate::SpatialHistogram`] caches in its
+    /// extension table, so using them is bit-identical to re-deriving them.
     ex: Vec<f64>,
     ey: Vec<f64>,
-    /// Morton mirror: bucket id at each mirror position (a permutation of
-    /// `0..len` in Z-order of bucket centres, padded to a whole quad with
-    /// the sentinel id `len`), and the seven fold inputs gathered in that
-    /// order.
-    morder: Vec<u32>,
-    mx1: Vec<f64>,
-    my1: Vec<f64>,
-    mx2: Vec<f64>,
-    my2: Vec<f64>,
+    /// The count and extension amounts gathered in mirror order (pads hold
+    /// zeros).
     mcount: Vec<f64>,
     mex: Vec<f64>,
     mey: Vec<f64>,
-    /// Block summary columns, `ceil(len / BLOCK)` real summaries padded to
-    /// a coarse vector of four with never-intersecting sentinels: union MBR of the
-    /// block's members and the per-block maxima of `ex`/`ey` (NaN amounts
-    /// are dropped by `f64::max`, matching how the members themselves
-    /// collapse a NaN extension to zero).
-    bx1: Vec<f64>,
-    by1: Vec<f64>,
-    bx2: Vec<f64>,
-    by2: Vec<f64>,
+    /// Per-block maxima of `ex`/`ey` (NaN amounts are dropped by
+    /// `f64::max`, matching how the members themselves collapse a NaN
+    /// extension to zero), padded like the block unions.
     bex: Vec<f64>,
     bey: Vec<f64>,
-    /// Quad summary columns, `ceil(len / QUAD)` real summaries padded to
-    /// a whole block window (`nblocks * 4`): the same union
-    /// MBR / extension maxima at per-4-member granularity, so a surviving
-    /// block can discard three quarters of its members with one more
-    /// rectangle test (one vector compare covers a whole block's quads).
-    qx1: Vec<f64>,
-    qy1: Vec<f64>,
-    qx2: Vec<f64>,
-    qy2: Vec<f64>,
+    /// The same maxima per quad, padded like the quad unions.
     qex: Vec<f64>,
     qey: Vec<f64>,
+}
+
+/// The MBR-only half of a [`BucketPlane`]: the fine MBR columns, the
+/// Morton order and the mirror MBR columns, and the block/quad union MBRs.
+/// None of it reads a count or an average size, so it stays valid across
+/// every data change that leaves the partition alone. Each column is an
+/// immutable `Arc<[_]>`, so a clone shares the columns for the cost of
+/// refcount bumps while a plane still holds every column's pointer and
+/// length inline, as the scan loops read them.
+#[derive(Debug, Clone)]
+pub(crate) struct PlaneGeometry {
+    x1: Arc<[f64]>,
+    y1: Arc<[f64]>,
+    x2: Arc<[f64]>,
+    y2: Arc<[f64]>,
+    /// Morton mirror: bucket id at each mirror position (a permutation of
+    /// `0..len` in Z-order of bucket centres, padded to a whole quad with
+    /// the sentinel id `len`), and the MBRs gathered in that order.
+    morder: Arc<[u32]>,
+    mx1: Arc<[f64]>,
+    my1: Arc<[f64]>,
+    mx2: Arc<[f64]>,
+    my2: Arc<[f64]>,
+    /// Block union MBRs, `ceil(len / BLOCK)` real summaries padded to a
+    /// coarse vector of four with never-intersecting sentinels.
+    bx1: Arc<[f64]>,
+    by1: Arc<[f64]>,
+    bx2: Arc<[f64]>,
+    by2: Arc<[f64]>,
+    /// Quad union MBRs, `ceil(len / QUAD)` real summaries padded to a
+    /// whole block window (`nblocks * 4`), so a surviving block can
+    /// discard three quarters of its members with one more rectangle test
+    /// (one vector compare covers a whole block's quads).
+    qx1: Arc<[f64]>,
+    qy1: Arc<[f64]>,
+    qx2: Arc<[f64]>,
+    qy2: Arc<[f64]>,
 }
 
 /// Classification of one bucket's term in the skip-zero fold: the exact
@@ -398,174 +423,236 @@ impl KernelExplain {
     }
 }
 
-impl BucketPlane {
-    /// Builds the plane for `buckets` under `rule`.
-    pub fn build(buckets: &[Bucket], rule: ExtensionRule) -> BucketPlane {
-        let n = buckets.len();
-        // Padded column lengths: the mirror is padded to a whole quad, the
-        // quad columns to a whole block's worth of quads, and the block
-        // columns to a whole coarse vector, so the vector scan never needs
-        // a scalar tail. Pads are sentinels (empty MBR, zero count) that
-        // can never intersect a query; the scan masks them out of the
-        // zero-sign flag with validity masks.
-        let n4 = if n == 0 { 0 } else { n.next_multiple_of(QUAD) };
+/// Padded column lengths for `n` buckets: the mirror is padded to a whole
+/// quad (`n4`), the quad columns to a whole block's worth of quads (`nqp`),
+/// and the block columns to a whole coarse vector (`nbp`), so the vector
+/// scan never needs a scalar tail. Pads are sentinels (empty MBR, zero
+/// count) that can never intersect a query; the scan masks them out of the
+/// zero-sign flag with validity masks.
+#[derive(Clone, Copy)]
+struct Layout {
+    n: usize,
+    n4: usize,
+    nbp: usize,
+    nqp: usize,
+}
+
+impl Layout {
+    fn new(n: usize) -> Layout {
         let nb = n.div_ceil(BLOCK);
-        let nbp = if nb == 0 { 0 } else { nb.next_multiple_of(4) };
-        let nqp = nb * (BLOCK / QUAD);
-        let mut plane = BucketPlane {
-            x1: Vec::with_capacity(n),
-            y1: Vec::with_capacity(n),
-            x2: Vec::with_capacity(n),
-            y2: Vec::with_capacity(n),
-            count: Vec::with_capacity(n),
-            avg_w: Vec::with_capacity(n),
-            avg_h: Vec::with_capacity(n),
-            ex: Vec::with_capacity(n),
-            ey: Vec::with_capacity(n),
-            morder: Vec::new(),
-            mx1: Vec::with_capacity(n4),
-            my1: Vec::with_capacity(n4),
-            mx2: Vec::with_capacity(n4),
-            my2: Vec::with_capacity(n4),
-            mcount: Vec::with_capacity(n4),
-            mex: Vec::with_capacity(n4),
-            mey: Vec::with_capacity(n4),
-            bx1: Vec::with_capacity(nbp),
-            by1: Vec::with_capacity(nbp),
-            bx2: Vec::with_capacity(nbp),
-            by2: Vec::with_capacity(nbp),
-            bex: Vec::with_capacity(nbp),
-            bey: Vec::with_capacity(nbp),
-            qx1: Vec::with_capacity(nqp),
-            qy1: Vec::with_capacity(nqp),
-            qx2: Vec::with_capacity(nqp),
-            qy2: Vec::with_capacity(nqp),
-            qex: Vec::with_capacity(nqp),
-            qey: Vec::with_capacity(nqp),
-        };
-        for b in buckets {
-            plane.x1.push(b.mbr.lo.x);
-            plane.y1.push(b.mbr.lo.y);
-            plane.x2.push(b.mbr.hi.x);
-            plane.y2.push(b.mbr.hi.y);
-            plane.count.push(b.count);
-            plane.avg_w.push(b.avg_width);
-            plane.avg_h.push(b.avg_height);
-            let (ex, ey) = rule.amounts(b.avg_width, b.avg_height);
-            plane.ex.push(ex);
-            plane.ey.push(ey);
+        Layout {
+            n,
+            n4: if n == 0 { 0 } else { n.next_multiple_of(QUAD) },
+            nbp: if nb == 0 { 0 } else { nb.next_multiple_of(4) },
+            nqp: nb * (BLOCK / QUAD),
         }
+    }
+}
 
-        // Morton mirror: gather the fold inputs in Z-order of the bucket
-        // centres. The schedule over the MBRs keys on exactly those
-        // centres; ties keep id order, so the mirror is deterministic.
+/// Raw bit patterns of a column.
+fn bits(column: &[f64]) -> Vec<u64> {
+    column.iter().map(|v| v.to_bits()).collect()
+}
+
+impl PlaneGeometry {
+    /// Builds the geometry over the buckets' MBRs.
+    pub(crate) fn build(buckets: &[Bucket]) -> PlaneGeometry {
+        let Layout { n, n4, nbp, nqp } = Layout::new(buckets.len());
+        let x1: Vec<f64> = buckets.iter().map(|b| b.mbr.lo.x).collect();
+        let y1: Vec<f64> = buckets.iter().map(|b| b.mbr.lo.y).collect();
+        let x2: Vec<f64> = buckets.iter().map(|b| b.mbr.hi.x).collect();
+        let y2: Vec<f64> = buckets.iter().map(|b| b.mbr.hi.y).collect();
+
+        // Morton mirror: gather the MBRs in Z-order of the bucket centres.
+        // The schedule over the MBRs keys on exactly those centres; ties
+        // keep id order, so the mirror is deterministic.
         let mbrs: Vec<Rect> = buckets.iter().map(|b| b.mbr).collect();
-        let order = crate::morton_schedule(&mbrs);
-        plane.morder = Vec::with_capacity(n4);
-        plane.morder.extend_from_slice(&order);
-        for &id in &plane.morder {
+        let mut morder = crate::morton_schedule(&mbrs);
+        let gather =
+            |col: &[f64]| -> Vec<f64> { morder.iter().map(|&id| col[id as usize]).collect() };
+        let (mut mx1, mut my1, mut mx2, mut my2) =
+            (gather(&x1), gather(&y1), gather(&x2), gather(&y2));
+        // Mirror pads: the empty rectangle. Its intersection test is false
+        // against any (finite) query, so pads classify as dead lanes. Pad
+        // `morder` entries map to the term buffer's spare slot `n`, which
+        // the fold never reads — the branchless scatter can then store
+        // every lane unconditionally.
+        morder.resize(n4, n as u32);
+        mx1.resize(n4, f64::INFINITY);
+        my1.resize(n4, f64::INFINITY);
+        mx2.resize(n4, f64::NEG_INFINITY);
+        my2.resize(n4, f64::NEG_INFINITY);
+
+        // Block unions over the mirror, per BLOCK members. They use
+        // `f64::min`/`max`, which drop a NaN operand — consistent with the
+        // member-level arithmetic, where a NaN coordinate can never satisfy
+        // an intersection test. Block pads are empty-rectangle sentinels,
+        // masked out of the coarse vector loop's results by its validity
+        // mask.
+        let (block, quad) = ((BLOCK, nbp), (QUAD, nqp));
+        let inf = f64::INFINITY;
+        let lo = |col: &[f64], runs| -> Arc<[f64]> {
+            Arc::from(summary(&col[..n], runs, inf, f64::min, inf))
+        };
+        let hi = |col: &[f64], runs| -> Arc<[f64]> {
+            Arc::from(summary(&col[..n], runs, -inf, f64::max, -inf))
+        };
+        let (bx1, by1, bx2, by2) = (
+            lo(&mx1, block),
+            lo(&my1, block),
+            hi(&mx2, block),
+            hi(&my2, block),
+        );
+        // Quad unions: the same at per-QUAD granularity. The containment
+        // argument is level-agnostic — a quad's union contains its members
+        // exactly as a block's contains its quads. Quad pads run out to a
+        // whole block's window of quads, so the quad gate of the last
+        // (ragged) block can load a full vector.
+        let (qx1, qy1, qx2, qy2) = (
+            lo(&mx1, quad),
+            lo(&my1, quad),
+            hi(&mx2, quad),
+            hi(&my2, quad),
+        );
+        PlaneGeometry {
+            x1: x1.into(),
+            y1: y1.into(),
+            x2: x2.into(),
+            y2: y2.into(),
+            morder: morder.into(),
+            mx1: mx1.into(),
+            my1: my1.into(),
+            mx2: mx2.into(),
+            my2: my2.into(),
+            bx1,
+            by1,
+            bx2,
+            by2,
+            qx1,
+            qy1,
+            qx2,
+            qy2,
+        }
+    }
+
+    /// Number of buckets the geometry was built over.
+    pub(crate) fn len(&self) -> usize {
+        self.x1.len()
+    }
+
+    /// `true` when `other` shares this geometry's columns.
+    #[cfg(test)]
+    pub(crate) fn shares_columns(&self, other: &PlaneGeometry) -> bool {
+        Arc::ptr_eq(&self.morder, &other.morder) && Arc::ptr_eq(&self.qy2, &other.qy2)
+    }
+
+    /// Heap bytes held by the geometry's columns.
+    fn size_bytes(&self) -> usize {
+        std::mem::size_of::<f64>()
+            * (self.x1.len()
+                + self.y1.len()
+                + self.x2.len()
+                + self.y2.len()
+                + self.mx1.len()
+                + self.my1.len()
+                + self.mx2.len()
+                + self.my2.len()
+                + self.bx1.len()
+                + self.by1.len()
+                + self.bx2.len()
+                + self.by2.len()
+                + self.qx1.len()
+                + self.qy1.len()
+                + self.qx2.len()
+                + self.qy2.len())
+            + std::mem::size_of::<u32>() * self.morder.len()
+    }
+}
+
+/// One summary column over the unpadded mirror column `col`, for `runs =
+/// (group, padded)`: `combine` folded from `init` over each run of `group`
+/// consecutive positions, in position order (the last run may be ragged),
+/// then `pad` out to `padded` entries. Union MBRs fold with
+/// `f64::min`/`max` and extension maxima with `f64::max`; both drop a NaN
+/// operand.
+fn summary(
+    col: &[f64],
+    (group, padded): (usize, usize),
+    init: f64,
+    combine: fn(f64, f64) -> f64,
+    pad: f64,
+) -> Vec<f64> {
+    let mut out = Vec::with_capacity(padded);
+    out.extend(
+        col.chunks(group)
+            .map(|run| run.iter().fold(init, |acc, &v| combine(acc, v))),
+    );
+    out.resize(padded, pad);
+    out
+}
+
+impl BucketPlane {
+    /// Builds the plane for `buckets` under `rule`: a fresh geometry plus
+    /// its weights.
+    pub fn build(buckets: &[Bucket], rule: ExtensionRule) -> BucketPlane {
+        BucketPlane::with_geometry(PlaneGeometry::build(buckets), buckets, rule)
+    }
+
+    /// Builds the plane's weights for `buckets` under `rule` over an
+    /// existing `geom`, which must have been built over these buckets' MBRs.
+    /// One O(β) pass gathers the counts and extension amounts through the
+    /// shared `morder` — no Morton keys, no sort — so the result is
+    /// column-for-column the plane [`BucketPlane::build`] would make.
+    pub(crate) fn with_geometry(
+        geom: PlaneGeometry,
+        buckets: &[Bucket],
+        rule: ExtensionRule,
+    ) -> BucketPlane {
+        // The SIMD scans index geometry and weight columns with one bound.
+        assert_eq!(geom.len(), buckets.len(), "geometry of another partition");
+        let Layout { n, n4, nbp, nqp } = Layout::new(buckets.len());
+        let mut count = Vec::with_capacity(n);
+        let mut ex = Vec::with_capacity(n);
+        let mut ey = Vec::with_capacity(n);
+        for b in buckets {
+            count.push(b.count);
+            let (x, y) = rule.amounts(b.avg_width, b.avg_height);
+            ex.push(x);
+            ey.push(y);
+        }
+        // The mirror gathers in Z-order; pads are zero-count, zero-extension
+        // dead lanes.
+        let mut mcount = Vec::with_capacity(n4);
+        let mut mex = Vec::with_capacity(n4);
+        let mut mey = Vec::with_capacity(n4);
+        for &id in &geom.morder[..n] {
             let i = id as usize;
-            plane.mx1.push(plane.x1[i]);
-            plane.my1.push(plane.y1[i]);
-            plane.mx2.push(plane.x2[i]);
-            plane.my2.push(plane.y2[i]);
-            plane.mcount.push(plane.count[i]);
-            plane.mex.push(plane.ex[i]);
-            plane.mey.push(plane.ey[i]);
+            mcount.push(count[i]);
+            mex.push(ex[i]);
+            mey.push(ey[i]);
         }
-        // Mirror pads: the empty rectangle with a zero count. Their
-        // intersection test is false against any (finite) query, so they
-        // classify as dead lanes. Pad `morder` entries map to the term
-        // buffer's spare slot `n`, which the fold never reads — the
-        // branchless scatter can then store every lane unconditionally.
-        for _ in n..n4 {
-            plane.morder.push(n as u32);
-            plane.mx1.push(f64::INFINITY);
-            plane.my1.push(f64::INFINITY);
-            plane.mx2.push(f64::NEG_INFINITY);
-            plane.my2.push(f64::NEG_INFINITY);
-            plane.mcount.push(0.0);
-            plane.mex.push(0.0);
-            plane.mey.push(0.0);
+        mcount.resize(n4, 0.0);
+        mex.resize(n4, 0.0);
+        mey.resize(n4, 0.0);
+        // Block and quad extension maxima over the same runs as the
+        // geometry's unions; pads carry zero amounts.
+        let (block, quad) = ((BLOCK, nbp), (QUAD, nqp));
+        let max = |col: &[f64], runs| summary(&col[..n], runs, f64::NEG_INFINITY, f64::max, 0.0);
+        let (bex, bey) = (max(&mex, block), max(&mey, block));
+        let (qex, qey) = (max(&mex, quad), max(&mey, quad));
+        BucketPlane {
+            geom,
+            count,
+            ex,
+            ey,
+            mcount,
+            mex,
+            mey,
+            bex,
+            bey,
+            qex,
+            qey,
         }
-
-        // Block summaries over the mirror: union MBR plus extension maxima
-        // per BLOCK members. The unions use `f64::min`/`max`, which drop a
-        // NaN operand — consistent with the member-level arithmetic, where
-        // a NaN coordinate can never satisfy an intersection test and a
-        // NaN extension collapses to a zero half-extent.
-        for b in 0..nb {
-            let range = b * BLOCK..((b + 1) * BLOCK).min(n);
-            let mut x1 = f64::INFINITY;
-            let mut y1 = f64::INFINITY;
-            let mut x2 = f64::NEG_INFINITY;
-            let mut y2 = f64::NEG_INFINITY;
-            let mut ex = f64::NEG_INFINITY;
-            let mut ey = f64::NEG_INFINITY;
-            for j in range {
-                x1 = x1.min(plane.mx1[j]);
-                y1 = y1.min(plane.my1[j]);
-                x2 = x2.max(plane.mx2[j]);
-                y2 = y2.max(plane.my2[j]);
-                ex = ex.max(plane.mex[j]);
-                ey = ey.max(plane.mey[j]);
-            }
-            plane.bx1.push(x1);
-            plane.by1.push(y1);
-            plane.bx2.push(x2);
-            plane.by2.push(y2);
-            plane.bex.push(ex);
-            plane.bey.push(ey);
-        }
-        // Block pads: empty-rectangle sentinels, masked out of the coarse
-        // vector loop's results by its validity mask.
-        for _ in nb..nbp {
-            plane.bx1.push(f64::INFINITY);
-            plane.by1.push(f64::INFINITY);
-            plane.bx2.push(f64::NEG_INFINITY);
-            plane.by2.push(f64::NEG_INFINITY);
-            plane.bex.push(0.0);
-            plane.bey.push(0.0);
-        }
-
-        // Quad summaries: the same unions at per-QUAD granularity. The
-        // containment argument is level-agnostic — a quad's union contains
-        // its members exactly as a block's contains its quads.
-        let nq = n.div_ceil(QUAD);
-        for q in 0..nq {
-            let range = q * QUAD..((q + 1) * QUAD).min(n);
-            let mut x1 = f64::INFINITY;
-            let mut y1 = f64::INFINITY;
-            let mut x2 = f64::NEG_INFINITY;
-            let mut y2 = f64::NEG_INFINITY;
-            let mut ex = f64::NEG_INFINITY;
-            let mut ey = f64::NEG_INFINITY;
-            for j in range {
-                x1 = x1.min(plane.mx1[j]);
-                y1 = y1.min(plane.my1[j]);
-                x2 = x2.max(plane.mx2[j]);
-                y2 = y2.max(plane.my2[j]);
-                ex = ex.max(plane.mex[j]);
-                ey = ey.max(plane.mey[j]);
-            }
-            plane.qx1.push(x1);
-            plane.qy1.push(y1);
-            plane.qx2.push(x2);
-            plane.qy2.push(y2);
-            plane.qex.push(ex);
-            plane.qey.push(ey);
-        }
-        // Quad pads out to a whole block's window of quads, so the quad
-        // gate of the last (ragged) block can load a full vector.
-        for _ in nq..nqp {
-            plane.qx1.push(f64::INFINITY);
-            plane.qy1.push(f64::INFINITY);
-            plane.qx2.push(f64::NEG_INFINITY);
-            plane.qy2.push(f64::NEG_INFINITY);
-            plane.qex.push(0.0);
-            plane.qey.push(0.0);
-        }
-        plane
     }
 
     /// Number of buckets in the plane.
@@ -582,38 +669,60 @@ impl BucketPlane {
 
     /// Heap bytes held by the plane's columns (capacity, not length —
     /// columns are built exactly-sized so the two coincide in practice),
-    /// including the Morton mirror and its block summaries.
+    /// geometry and weights, including the Morton mirror and its block and
+    /// quad summaries. A geometry shared with other planes is counted in
+    /// full by each.
     pub fn size_bytes(&self) -> usize {
-        std::mem::size_of::<f64>()
-            * (self.x1.capacity()
-                + self.y1.capacity()
-                + self.x2.capacity()
-                + self.y2.capacity()
-                + self.count.capacity()
-                + self.avg_w.capacity()
-                + self.avg_h.capacity()
-                + self.ex.capacity()
-                + self.ey.capacity()
-                + self.mx1.capacity()
-                + self.my1.capacity()
-                + self.mx2.capacity()
-                + self.my2.capacity()
-                + self.mcount.capacity()
-                + self.mex.capacity()
-                + self.mey.capacity()
-                + self.bx1.capacity()
-                + self.by1.capacity()
-                + self.bx2.capacity()
-                + self.by2.capacity()
-                + self.bex.capacity()
-                + self.bey.capacity()
-                + self.qx1.capacity()
-                + self.qy1.capacity()
-                + self.qx2.capacity()
-                + self.qy2.capacity()
-                + self.qex.capacity()
-                + self.qey.capacity())
-            + std::mem::size_of::<u32>() * self.morder.capacity()
+        self.geom.size_bytes()
+            + std::mem::size_of::<f64>()
+                * (self.count.capacity()
+                    + self.ex.capacity()
+                    + self.ey.capacity()
+                    + self.mcount.capacity()
+                    + self.mex.capacity()
+                    + self.mey.capacity()
+                    + self.bex.capacity()
+                    + self.bey.capacity()
+                    + self.qex.capacity()
+                    + self.qey.capacity())
+    }
+
+    /// Every column of the plane, geometry then weights, by name and as
+    /// raw bit patterns (`f64::to_bits`; `morder` widened to `u64`). Two
+    /// planes serve the same bits when these agree; the differential
+    /// suites compare a plane kept across data changes against a fresh
+    /// [`BucketPlane::build`] this way.
+    pub fn column_bits(&self) -> Vec<(&'static str, Vec<u64>)> {
+        let g = &self.geom;
+        vec![
+            ("x1", bits(&g.x1)),
+            ("y1", bits(&g.y1)),
+            ("x2", bits(&g.x2)),
+            ("y2", bits(&g.y2)),
+            ("morder", g.morder.iter().map(|&id| u64::from(id)).collect()),
+            ("mx1", bits(&g.mx1)),
+            ("my1", bits(&g.my1)),
+            ("mx2", bits(&g.mx2)),
+            ("my2", bits(&g.my2)),
+            ("bx1", bits(&g.bx1)),
+            ("by1", bits(&g.by1)),
+            ("bx2", bits(&g.bx2)),
+            ("by2", bits(&g.by2)),
+            ("qx1", bits(&g.qx1)),
+            ("qy1", bits(&g.qy1)),
+            ("qx2", bits(&g.qx2)),
+            ("qy2", bits(&g.qy2)),
+            ("count", bits(&self.count)),
+            ("ex", bits(&self.ex)),
+            ("ey", bits(&self.ey)),
+            ("mcount", bits(&self.mcount)),
+            ("mex", bits(&self.mex)),
+            ("mey", bits(&self.mey)),
+            ("bex", bits(&self.bex)),
+            ("bey", bits(&self.bey)),
+            ("qex", bits(&self.qex)),
+            ("qey", bits(&self.qey)),
+        ]
     }
 
     /// One bucket's step of the skip-zero fold: adds the bucket's term to
@@ -623,10 +732,10 @@ impl BucketPlane {
     #[inline(always)]
     fn fold_one(&self, i: usize, p: &QueryPrep, acc: &mut f64, saw_pos_zero: &mut bool) {
         let term = classify(
-            self.x1[i],
-            self.y1[i],
-            self.x2[i],
-            self.y2[i],
+            self.geom.x1[i],
+            self.geom.y1[i],
+            self.geom.x2[i],
+            self.geom.y2[i],
             self.count[i],
             self.ex[i],
             self.ey[i],
@@ -702,10 +811,10 @@ impl BucketPlane {
     fn block_pruned(&self, b: usize, p: &QueryPrep) -> bool {
         let hw = (p.hw + self.bex[b]).max(0.0);
         let hh = (p.hh + self.bey[b]).max(0.0);
-        !((p.cx - hw <= self.bx2[b])
-            & (self.bx1[b] <= p.cx + hw)
-            & (p.cy - hh <= self.by2[b])
-            & (self.by1[b] <= p.cy + hh))
+        !((p.cx - hw <= self.geom.bx2[b])
+            & (self.geom.bx1[b] <= p.cx + hw)
+            & (p.cy - hh <= self.geom.by2[b])
+            & (self.geom.by1[b] <= p.cy + hh))
     }
 
     /// The same coarse test as [`BucketPlane::block_pruned`] one level
@@ -714,10 +823,10 @@ impl BucketPlane {
     fn quad_pruned(&self, q: usize, p: &QueryPrep) -> bool {
         let hw = (p.hw + self.qex[q]).max(0.0);
         let hh = (p.hh + self.qey[q]).max(0.0);
-        !((p.cx - hw <= self.qx2[q])
-            & (self.qx1[q] <= p.cx + hw)
-            & (p.cy - hh <= self.qy2[q])
-            & (self.qy1[q] <= p.cy + hh))
+        !((p.cx - hw <= self.geom.qx2[q])
+            & (self.geom.qx1[q] <= p.cx + hw)
+            & (p.cy - hh <= self.geom.qy2[q])
+            & (self.geom.qy1[q] <= p.cy + hh))
     }
 
     /// Quad-gated scalar scan of one surviving block: each quad's union
@@ -747,17 +856,17 @@ impl BucketPlane {
     #[inline(always)]
     fn scan_one(&self, j: usize, p: &QueryPrep, buf: &mut TermBuf, saw: &mut bool) {
         let term = classify(
-            self.mx1[j],
-            self.my1[j],
-            self.mx2[j],
-            self.my2[j],
+            self.geom.mx1[j],
+            self.geom.my1[j],
+            self.geom.mx2[j],
+            self.geom.my2[j],
             self.mcount[j],
             self.mex[j],
             self.mey[j],
             p,
         );
         match term {
-            Term::Live(t) => buf.set(self.morder[j] as usize, t),
+            Term::Live(t) => buf.set(self.geom.morder[j] as usize, t),
             Term::PosZero => *saw = true,
             Term::NegZero => {}
         }
@@ -847,7 +956,8 @@ impl BucketPlane {
     /// Never feeds the estimate — the term value always comes from
     /// `classify`.
     fn clip_fraction(&self, j: usize, p: &QueryPrep) -> f64 {
-        let (x1, y1, x2, y2) = (self.mx1[j], self.my1[j], self.mx2[j], self.my2[j]);
+        let g = &self.geom;
+        let (x1, y1, x2, y2) = (g.mx1[j], g.my1[j], g.mx2[j], g.my2[j]);
         let hw = (p.hw + self.mex[j]).max(0.0);
         let hh = (p.hh + self.mey[j]).max(0.0);
         let ox = ((p.cx + hw).min(x2) - (p.cx - hw).max(x1)).max(0.0);
@@ -903,10 +1013,10 @@ impl BucketPlane {
                 for j in q * QUAD..((q + 1) * QUAD).min(n) {
                     prune.buckets_classified += 1;
                     let term = classify(
-                        self.mx1[j],
-                        self.my1[j],
-                        self.mx2[j],
-                        self.my2[j],
+                        self.geom.mx1[j],
+                        self.geom.my1[j],
+                        self.geom.mx2[j],
+                        self.geom.my2[j],
                         self.mcount[j],
                         self.mex[j],
                         self.mey[j],
@@ -914,9 +1024,9 @@ impl BucketPlane {
                     );
                     match term {
                         Term::Live(t) => {
-                            buf.set(self.morder[j] as usize, t);
+                            buf.set(self.geom.morder[j] as usize, t);
                             terms.push(ExplainTerm {
-                                bucket: self.morder[j],
+                                bucket: self.geom.morder[j],
                                 count: self.mcount[j],
                                 ex: self.mex[j],
                                 ey: self.mey[j],
@@ -995,14 +1105,15 @@ mod simd {
         let qhh = _mm256_set1_pd(p.hh);
         let mut i = 0usize;
         while i + 4 <= n {
-            // SAFETY: all columns have length `n` and `i + 4 <= n`.
+            // SAFETY: all fine columns have length `n` (`with_geometry`
+            // asserts the geometry matches the weights) and `i + 4 <= n`.
             let (live_bits, neg_bits) = unsafe {
                 let ex = _mm256_loadu_pd(plane.ex.as_ptr().add(i));
                 let ey = _mm256_loadu_pd(plane.ey.as_ptr().add(i));
-                let x1 = _mm256_loadu_pd(plane.x1.as_ptr().add(i));
-                let x2 = _mm256_loadu_pd(plane.x2.as_ptr().add(i));
-                let y1 = _mm256_loadu_pd(plane.y1.as_ptr().add(i));
-                let y2 = _mm256_loadu_pd(plane.y2.as_ptr().add(i));
+                let x1 = _mm256_loadu_pd(plane.geom.x1.as_ptr().add(i));
+                let x2 = _mm256_loadu_pd(plane.geom.x2.as_ptr().add(i));
+                let y1 = _mm256_loadu_pd(plane.geom.y1.as_ptr().add(i));
+                let y2 = _mm256_loadu_pd(plane.geom.y2.as_ptr().add(i));
                 let c = _mm256_loadu_pd(plane.count.as_ptr().add(i));
                 // (qhw + ex).max(0.0): max(sum, +0.0) returns +0.0 for a
                 // NaN sum, matching scalar `f64::max`.
@@ -1179,8 +1290,9 @@ mod simd {
         // SAFETY: quad columns are padded to a whole block window
         // (`nblocks * 4` summaries), so `q0 + 4` is in bounds.
         let qb = unsafe {
+            let g = &plane.geom;
             inter4_avx2(
-                &plane.qx1, &plane.qy1, &plane.qx2, &plane.qy2, &plane.qex, &plane.qey, q0, bc,
+                &g.qx1, &g.qy1, &g.qx2, &g.qy2, &plane.qex, &plane.qey, q0, bc,
             )
         } & qvm;
         // A pruned quad skips only proven `+0.0` terms (quads are never
@@ -1205,10 +1317,10 @@ mod simd {
             let (live_bits, neg_bits, push_bits, posz_bits) = unsafe {
                 let ex = _mm256_loadu_pd(plane.mex.as_ptr().add(j));
                 let ey = _mm256_loadu_pd(plane.mey.as_ptr().add(j));
-                let x1 = _mm256_loadu_pd(plane.mx1.as_ptr().add(j));
-                let x2 = _mm256_loadu_pd(plane.mx2.as_ptr().add(j));
-                let y1 = _mm256_loadu_pd(plane.my1.as_ptr().add(j));
-                let y2 = _mm256_loadu_pd(plane.my2.as_ptr().add(j));
+                let x1 = _mm256_loadu_pd(plane.geom.mx1.as_ptr().add(j));
+                let x2 = _mm256_loadu_pd(plane.geom.mx2.as_ptr().add(j));
+                let y1 = _mm256_loadu_pd(plane.geom.my1.as_ptr().add(j));
+                let y2 = _mm256_loadu_pd(plane.geom.my2.as_ptr().add(j));
                 let c = _mm256_loadu_pd(plane.mcount.as_ptr().add(j));
                 let hw = _mm256_max_pd(_mm256_add_pd(bc.hw, ex), bc.zero);
                 let hh = _mm256_max_pd(_mm256_add_pd(bc.hh, ey), bc.zero);
@@ -1300,7 +1412,7 @@ mod simd {
                 // are at most `n`, and the buffer holds `n + 1` value
                 // slots plus a spare mask word (see `TermBuf::reset`).
                 unsafe {
-                    let id = *plane.morder.get_unchecked(j + lane) as usize;
+                    let id = *plane.geom.morder.get_unchecked(j + lane) as usize;
                     *buf.vals.get_unchecked_mut(id) = t;
                     *buf.mask.get_unchecked_mut(id >> 6) |= ((pb >> lane) & 1) << (id & 63);
                 }
@@ -1337,8 +1449,9 @@ mod simd {
             // SAFETY: block columns are padded to a multiple of four
             // summaries, so `b + 4` is in bounds even on the ragged tail.
             let bbits = unsafe {
+                let g = &plane.geom;
                 inter4_avx2(
-                    &plane.bx1, &plane.by1, &plane.bx2, &plane.by2, &plane.bex, &plane.bey, b, &bc,
+                    &g.bx1, &g.by1, &g.bx2, &g.by2, &plane.bex, &plane.bey, b, &bc,
                 )
             } & vm;
             // A pruned block skips only proven `+0.0` terms, and blocks
@@ -1380,10 +1493,10 @@ mod simd {
                 // SAFETY: all block columns have length `nb`, `b + 2 <= nb`.
                 let bex = _mm_loadu_pd(plane.bex.as_ptr().add(b));
                 let bey = _mm_loadu_pd(plane.bey.as_ptr().add(b));
-                let bx1 = _mm_loadu_pd(plane.bx1.as_ptr().add(b));
-                let bx2 = _mm_loadu_pd(plane.bx2.as_ptr().add(b));
-                let by1 = _mm_loadu_pd(plane.by1.as_ptr().add(b));
-                let by2 = _mm_loadu_pd(plane.by2.as_ptr().add(b));
+                let bx1 = _mm_loadu_pd(plane.geom.bx1.as_ptr().add(b));
+                let bx2 = _mm_loadu_pd(plane.geom.bx2.as_ptr().add(b));
+                let by1 = _mm_loadu_pd(plane.geom.by1.as_ptr().add(b));
+                let by2 = _mm_loadu_pd(plane.geom.by2.as_ptr().add(b));
                 let hw = _mm_max_pd(_mm_add_pd(qhw, bex), zero);
                 let hh = _mm_max_pd(_mm_add_pd(qhh, bey), zero);
                 let elx = _mm_sub_pd(cx, hw);
@@ -1430,13 +1543,14 @@ mod simd {
             let qhh = _mm_set1_pd(p.hh);
             let mut i = 0usize;
             while i + 2 <= n {
-                // SAFETY: all columns have length `n` and `i + 2 <= n`.
+                // SAFETY: all fine columns have length `n` (`with_geometry`
+                // asserts the geometry matches the weights) and `i + 2 <= n`.
                 let ex = _mm_loadu_pd(plane.ex.as_ptr().add(i));
                 let ey = _mm_loadu_pd(plane.ey.as_ptr().add(i));
-                let x1 = _mm_loadu_pd(plane.x1.as_ptr().add(i));
-                let x2 = _mm_loadu_pd(plane.x2.as_ptr().add(i));
-                let y1 = _mm_loadu_pd(plane.y1.as_ptr().add(i));
-                let y2 = _mm_loadu_pd(plane.y2.as_ptr().add(i));
+                let x1 = _mm_loadu_pd(plane.geom.x1.as_ptr().add(i));
+                let x2 = _mm_loadu_pd(plane.geom.x2.as_ptr().add(i));
+                let y1 = _mm_loadu_pd(plane.geom.y1.as_ptr().add(i));
+                let y2 = _mm_loadu_pd(plane.geom.y2.as_ptr().add(i));
                 let c = _mm_loadu_pd(plane.count.as_ptr().add(i));
                 let hw = _mm_max_pd(_mm_add_pd(qhw, ex), zero);
                 let hh = _mm_max_pd(_mm_add_pd(qhh, ey), zero);
@@ -1673,33 +1787,67 @@ mod tests {
         let n = buckets.len();
         let plane = BucketPlane::build(&buckets, ExtensionRule::Minkowski);
         let mut seen = vec![false; n];
-        for &id in &plane.morder[..n] {
+        for &id in &plane.geom.morder[..n] {
             assert!(!std::mem::replace(&mut seen[id as usize], true));
         }
         assert!(seen.iter().all(|&s| s));
         // Pads: sentinel ids out to a whole quad, block summaries out to
         // a whole coarse vector.
-        assert_eq!(plane.morder.len(), n.next_multiple_of(4));
-        assert!(plane.morder[n..].iter().all(|&id| id as usize == n));
-        assert_eq!(plane.bx1.len(), n.div_ceil(16));
-        for (j, &id) in plane.morder[..n].iter().enumerate() {
+        assert_eq!(plane.geom.morder.len(), n.next_multiple_of(4));
+        assert!(plane.geom.morder[n..].iter().all(|&id| id as usize == n));
+        assert_eq!(plane.geom.bx1.len(), n.div_ceil(16));
+        for (j, &id) in plane.geom.morder[..n].iter().enumerate() {
             let b = j / 16;
             let m = &buckets[id as usize].mbr;
-            assert!(plane.bx1[b] <= m.lo.x && m.hi.x <= plane.bx2[b]);
-            assert!(plane.by1[b] <= m.lo.y && m.hi.y <= plane.by2[b]);
+            assert!(plane.geom.bx1[b] <= m.lo.x && m.hi.x <= plane.geom.bx2[b]);
+            assert!(plane.geom.by1[b] <= m.lo.y && m.hi.y <= plane.geom.by2[b]);
             assert!(plane.bex[b] >= plane.mex[j] && plane.bey[b] >= plane.mey[j]);
         }
     }
 
     #[test]
     fn size_bytes_counts_all_columns() {
-        // 16 buckets: 9 fine + 7 mirror f64 columns, one u32 id column,
+        // 16 buckets: 7 fine + 7 mirror f64 columns, one u32 id column,
         // one block summary padded to a coarse vector of four, and four
         // quad summaries (6 f64 each).
         let plane = BucketPlane::build(&grid(4), ExtensionRule::Minkowski);
         assert_eq!(
             plane.size_bytes(),
-            16 * 9 * 8 + 16 * 7 * 8 + 16 * 4 + 4 * 6 * 8 + 4 * 6 * 8
+            16 * 7 * 8 + 16 * 7 * 8 + 16 * 4 + 4 * 6 * 8 + 4 * 6 * 8
         );
+    }
+
+    #[test]
+    fn weights_over_a_kept_geometry_match_a_fresh_build() {
+        // Counts and average sizes move, the MBRs stay: weights rebuilt
+        // over the old geometry must equal a full build column for column
+        // (49 buckets: ragged final block and quad; NaN and zero sizes).
+        let mut buckets = grid(7);
+        let geom = PlaneGeometry::build(&buckets);
+        for (i, b) in buckets.iter_mut().enumerate() {
+            b.count = if i % 5 == 0 {
+                0.0
+            } else {
+                b.count * 1.5 + 0.25
+            };
+            b.avg_width = if i % 11 == 0 {
+                f64::NAN
+            } else {
+                i as f64 * 0.3
+            };
+            b.avg_height = (i % 3) as f64;
+        }
+        for rule in [
+            ExtensionRule::Minkowski,
+            ExtensionRule::PaperLiteral,
+            ExtensionRule::None,
+        ] {
+            let kept = BucketPlane::with_geometry(geom.clone(), &buckets, rule);
+            assert_eq!(
+                kept.column_bits(),
+                BucketPlane::build(&buckets, rule).column_bits(),
+                "rule={rule:?}"
+            );
+        }
     }
 }

@@ -6,7 +6,9 @@
 //!
 //! * [`SpatialHistogram::note_insert`] / [`SpatialHistogram::note_delete`]
 //!   fold a single data change into the bucket counts (running averages for
-//!   the width/height statistics included).
+//!   the width/height statistics included). They never move an MBR, so the
+//!   kernel plane's geometry survives and only its weights are rebuilt on
+//!   the next estimate.
 //! * A **staleness** measure tracks how much of the mutation stream the
 //!   bucket grid could not absorb faithfully — inserts outside every bucket,
 //!   deletes that no bucket could account for, and raw churn volume —
@@ -44,18 +46,14 @@ impl SpatialHistogram {
         let center = rect.center();
         self.input_len_mut(1);
         let absorbed = {
-            let Some(bucket) = self
-                .buckets_mut()
-                .iter_mut()
-                .find(|b| b.mbr.contains_point(center))
-            else {
+            let Some(bucket) = self.covering_bucket_mut(center) else {
                 self.churn_mut(1.0);
                 return false;
             };
-            let n = bucket.count;
-            bucket.avg_width = (bucket.avg_width * n + rect.width()) / (n + 1.0);
-            bucket.avg_height = (bucket.avg_height * n + rect.height()) / (n + 1.0);
-            bucket.count = n + 1.0;
+            let n = *bucket.count;
+            *bucket.avg_width = (*bucket.avg_width * n + rect.width()) / (n + 1.0);
+            *bucket.avg_height = (*bucket.avg_height * n + rect.height()) / (n + 1.0);
+            *bucket.count = n + 1.0;
             true
         };
         self.churn_mut(0.5);
@@ -75,16 +73,12 @@ impl SpatialHistogram {
         let center = rect.center();
         self.input_len_mut(-1);
         let absorbed = {
-            let Some(bucket) = self
-                .buckets_mut()
-                .iter_mut()
-                .find(|b| b.mbr.contains_point(center))
-            else {
+            let Some(bucket) = self.covering_bucket_mut(center) else {
                 self.churn_mut(1.0);
                 return false;
             };
             let dec = bucket.count.clamp(0.0, 1.0);
-            bucket.count -= dec;
+            *bucket.count -= dec;
             dec
         };
         // The absorbed fraction carries half weight, the shortfall full

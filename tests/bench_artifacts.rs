@@ -26,3 +26,14 @@ fn committed_bench_artifacts_are_full_scale() {
     }
     assert!(seen > 0, "no BENCH_*.json at the workspace root");
 }
+
+#[test]
+fn committed_obs_artifact_records_the_flight_recorder_overhead() {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("BENCH_obs.json");
+    let json = std::fs::read_to_string(&path).expect("BENCH_obs.json is committed");
+    assert!(
+        json.contains("\"recorder_overhead_pct\""),
+        "BENCH_obs.json lacks the recorder_overhead_pct column; regenerate it with \
+         `cargo bench -p minskew-bench --bench obs_overhead`"
+    );
+}
