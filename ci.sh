@@ -14,15 +14,17 @@
 #      techniques × extension rules × adversarial queries, pinned bit for
 #      bit to the reference fold) plus its own exhaustive axis, and
 #      scheduler interleaving cannot mask ordering bugs;
-#   6. the kernel differential suite again under `--features simd`, so the
-#      runtime-dispatched vector filter is pinned to the same oracle;
+#   6. the kernel and serving differential suites again under
+#      `--features simd`, so the runtime-dispatched pruned vector scan is
+#      pinned to the same oracle, with a fresh scratch per call and with
+#      one scratch reused across the whole corpus;
 #   7. the observability suites with minskew-obs compiled to no-ops, proving
 #      the compiled-out configuration serves the same bytes;
 #   8. clippy over minskew-obs denying `unwrap()` everywhere;
 #   9. clippy over the serving crates denying needless_collect and
 #      redundant_clone (the serving path is allocation-free by design);
-#  10. clippy over minskew-core with `simd` on (the workspace's only
-#      `unsafe`);
+#  10. clippy over minskew-core with `simd` on (the pruned vector scan,
+#      the workspace's only `unsafe`);
 #  11. a CLI serve smoke: `minskew serve` on an ephemeral port, a catalog
 #      client round trip (MAINTAIN, trace-id echo, EXPLAIN/FLIGHT/METRICS,
 #      a raw malformed-TID probe, a bounded `minskew top` scrape), wire
@@ -61,8 +63,9 @@ RUST_TEST_THREADS=1 cargo test -q --features exhaustive \
     --test serve_protocol --test kernel_differential \
     --test refine_differential --test trace_differential
 
-echo "==> kernel differential suite under --features simd"
-RUST_TEST_THREADS=1 cargo test -q --test kernel_differential --features exhaustive,simd
+echo "==> kernel and serving differential suites under --features simd"
+RUST_TEST_THREADS=1 cargo test -q --test kernel_differential --test serving_differential \
+    --features exhaustive,simd
 
 echo "==> observability suites with minskew-obs compiled to no-ops"
 cargo test -q --test obs_differential --test golden_metrics --test trace_differential \

@@ -264,7 +264,7 @@ impl SpatialHistogram {
     /// replays the few surviving terms in reference fold order.
     pub fn estimate_count_indexed(&self, query: &Rect, scratch: &mut IndexScratch) -> f64 {
         self.bucket_plane()
-            .accumulate_pruned(&QueryPrep::new(query), &mut scratch.terms)
+            .accumulate_pruned(&QueryPrep::new(query), scratch)
     }
 
     /// [`SpatialHistogram::estimate_count_indexed`] with the evidence
@@ -282,7 +282,7 @@ impl SpatialHistogram {
     ) -> EstimateExplain {
         let kernel = self
             .bucket_plane()
-            .accumulate_pruned_explained(&QueryPrep::new(query), &mut scratch.terms);
+            .accumulate_pruned_explained(&QueryPrep::new(query), scratch);
         EstimateExplain {
             technique: self.name.clone(),
             rule: self.rule,
@@ -332,10 +332,10 @@ impl ServingFootprint {
 
 impl SpatialEstimator for SpatialHistogram {
     fn estimate_count(&self, query: &Rect) -> f64 {
-        // The SoA kernel fold is proven bit-identical to the reference
-        // AoS fold (`estimate_count_reference`); the serving and kernel
-        // differential suites pin it.
-        self.bucket_plane().accumulate(&QueryPrep::new(query))
+        // The kernel's one scan, with a fresh scratch: bit-identical to the
+        // reference AoS fold (`estimate_count_reference`); the serving and
+        // kernel differential suites pin it.
+        self.estimate_count_indexed(query, &mut IndexScratch::new())
     }
 
     fn input_len(&self) -> usize {
@@ -403,17 +403,14 @@ mod tests {
         assert_eq!(fp.ext_table, 2 * 16);
         assert_eq!(fp.plane, 0);
         assert_eq!(h.size_bytes(), fp.total());
-        // Serving materialises the plane (fine columns, the Morton mirror
-        // padded to a whole quad, the id map, block summaries padded to a
-        // coarse vector of four, and one block window of quad summaries).
-        // The footprint must see it.
+        // Serving materialises the plane (the Morton mirror padded to a
+        // whole quad, the id map, block summaries padded to a coarse
+        // vector of four, and one block window of quad summaries). The
+        // footprint must see it.
         let mut scratch = IndexScratch::new();
         let _ = h.estimate_count_indexed(&Rect::new(0.0, 0.0, 1.0, 1.0), &mut scratch);
         let fp = h.serving_footprint();
-        assert_eq!(
-            fp.plane,
-            2 * 7 * 8 + 4 * 7 * 8 + 4 * 4 + 4 * 6 * 8 + 4 * 6 * 8
-        );
+        assert_eq!(fp.plane, 4 * 7 * 8 + 4 * 4 + 4 * 6 * 8 + 4 * 6 * 8);
         assert_eq!(h.size_bytes(), fp.total());
         assert!(h.size_bytes() > h.summary_bytes());
         assert_eq!(h.total_count(), 100.0);

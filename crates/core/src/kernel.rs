@@ -7,11 +7,13 @@
 //! AoS `Vec<Bucket>`: every bucket costs two early-exit branches, a `Rect`
 //! construction, and scattered loads across a 56-byte struct, so the
 //! per-bucket cost *is* the serving floor. [`BucketPlane`] stores the
-//! seven per-bucket words the fold reads (`x1/y1/x2/y2/count/ex/ey`, the
-//! extension amounts derived once from the average sizes) as separate
-//! contiguous `f64` slices so the clip-and-accumulate loop streams cache
-//! lines instead of striding structs, and rewrites the loop in a branchless
-//! min/max/clamp-to-zero form that LLVM can autovectorize.
+//! seven per-bucket words the fold reads (`mx1/my1/mx2/my2/mcount/mex/mey`,
+//! the extension amounts derived once from the average sizes) as separate
+//! contiguous `f64` slices in Z-order of the bucket centres, with union
+//! summaries over every 16 and every 4 consecutive buckets. One scan,
+//! [`BucketPlane::accumulate_pruned`], prunes whole runs by their summaries
+//! and classifies the survivors in a branchless min/max/clamp-to-zero form,
+//! streaming cache lines instead of striding structs.
 //!
 //! The MBR columns, the Morton order and the block/quad union MBRs depend
 //! on the partition alone. They live in a shared geometry that survives
@@ -69,15 +71,14 @@
 //!
 //! # Explicit SIMD
 //!
-//! With the `simd` cargo feature on x86_64, the filter of step 3 runs four
-//! (AVX2, runtime-detected) or two (SSE2 baseline) buckets per iteration
-//! with `core::arch` compares; vectors with no surviving lane short-circuit
-//! in a few cycles, and surviving lanes re-run the *scalar* step in lane
-//! order, so the fold order and every surviving term are untouched —
-//! bit-identity holds by construction, and `tests/kernel_differential.rs`
-//! pins it. Per-lane min/max/compare semantics only feed the boolean
-//! filter, where `-0.0 == +0.0` and the NaN behaviours above agree between
-//! the scalar and vector forms.
+//! With the `simd` cargo feature on x86_64, planes of at least 32 buckets
+//! test four (AVX2, runtime-detected) or two (SSE2 baseline) block
+//! summaries per compare. Under AVX2 a surviving block then gates its four
+//! quads with one more compare and computes each surviving quad's four
+//! terms at vector width with the scalar step's exact operation order;
+//! under SSE2 surviving blocks run the scalar quad scan. The fold itself
+//! is the same ascending-id replay either way, so bit-identity holds by
+//! construction, and `tests/kernel_differential.rs` pins it.
 
 use std::sync::Arc;
 
@@ -125,15 +126,11 @@ const QUAD: usize = 4;
 /// Structure-of-arrays mirror of a histogram's buckets plus the per-bucket
 /// extension amounts under one [`ExtensionRule`].
 ///
-/// Built lazily by [`crate::SpatialHistogram`]. All fine columns have
-/// identical length and are in bucket-id order, so
-/// [`BucketPlane::accumulate`] streams them in exactly the reference fold
-/// order.
-///
-/// The plane additionally keeps a **Morton mirror** for the pruned serving
-/// path ([`BucketPlane::accumulate_pruned`]): the fold columns permuted
-/// into Z-order of the bucket centres (`morder` maps mirror position →
-/// bucket id), plus one coarse **block summary** per [`BLOCK`] consecutive
+/// Built lazily by [`crate::SpatialHistogram`]. The per-bucket columns
+/// form a **Morton mirror** for the block-pruned scan
+/// ([`BucketPlane::accumulate_pruned`]): the fold's inputs gathered in
+/// Z-order of the bucket centres (`morder` maps mirror position → bucket
+/// id), plus one coarse **block summary** per [`BLOCK`] consecutive
 /// mirror positions — the union of the members' MBRs and the maxima of
 /// their extension amounts. Z-order makes a block's members spatial
 /// neighbours, so a selective query prunes almost every block with one
@@ -152,14 +149,10 @@ const QUAD: usize = 4;
 #[derive(Debug, Clone)]
 pub struct BucketPlane {
     pub(crate) geom: PlaneGeometry,
-    count: Vec<f64>,
-    /// Per-bucket extension amounts, `rule.amounts(avg_width, avg_height)`
-    /// — the same values [`crate::SpatialHistogram`] caches in its
+    /// The counts and extension amounts, `rule.amounts(avg_width,
+    /// avg_height)`, gathered in mirror order (pads hold zeros). The
+    /// amounts are the values [`crate::SpatialHistogram`] caches in its
     /// extension table, so using them is bit-identical to re-deriving them.
-    ex: Vec<f64>,
-    ey: Vec<f64>,
-    /// The count and extension amounts gathered in mirror order (pads hold
-    /// zeros).
     mcount: Vec<f64>,
     mex: Vec<f64>,
     mey: Vec<f64>,
@@ -173,19 +166,17 @@ pub struct BucketPlane {
     qey: Vec<f64>,
 }
 
-/// The MBR-only half of a [`BucketPlane`]: the fine MBR columns, the
-/// Morton order and the mirror MBR columns, and the block/quad union MBRs.
-/// None of it reads a count or an average size, so it stays valid across
-/// every data change that leaves the partition alone. Each column is an
-/// immutable `Arc<[_]>`, so a clone shares the columns for the cost of
-/// refcount bumps while a plane still holds every column's pointer and
-/// length inline, as the scan loops read them.
+/// The MBR-only half of a [`BucketPlane`]: the Morton order, the mirror
+/// MBR columns and the block/quad union MBRs. None of it reads a count or
+/// an average size, so it stays valid across every data change that
+/// leaves the partition alone. Each column is an immutable `Arc<[_]>`, so
+/// a clone shares the columns for the cost of refcount bumps while a plane
+/// still holds every column's pointer and length inline, as the scan loops
+/// read them.
 #[derive(Debug, Clone)]
 pub(crate) struct PlaneGeometry {
-    x1: Arc<[f64]>,
-    y1: Arc<[f64]>,
-    x2: Arc<[f64]>,
-    y2: Arc<[f64]>,
+    /// Number of buckets the geometry was built over.
+    len: usize,
     /// Morton mirror: bucket id at each mirror position (a permutation of
     /// `0..len` in Z-order of bucket centres, padded to a whole quad with
     /// the sentinel id `len`), and the MBRs gathered in that order.
@@ -222,9 +213,9 @@ enum Term {
 
 /// The single source of truth for one bucket's term: the reference
 /// arithmetic of [`Bucket::estimate_with_extension`], operation for
-/// operation, classified for the skip-zero fold. Every accumulation path —
-/// id-ordered, Morton mirror, SIMD replay — funnels through this function,
-/// so their terms are bit-identical by construction.
+/// operation, classified for the skip-zero fold. The scalar scan and the
+/// explained scan funnel through this function; the AVX2 quad step repeats
+/// its operations lane-wise in the same order.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn classify(x1: f64, y1: f64, x2: f64, y2: f64, c: f64, ex: f64, ey: f64, p: &QueryPrep) -> Term {
@@ -279,47 +270,32 @@ fn classify(x1: f64, y1: f64, x2: f64, y2: f64, c: f64, ex: f64, ey: f64, p: &Qu
     }
 }
 
-/// Reusable sparse term buffer for the block-pruned scan
-/// ([`BucketPlane::accumulate_pruned`]): a dense per-bucket value slot plus
-/// an id-space bitmask of which slots hold a term for the current query.
-///
-/// The scan visits buckets in Morton-mirror order but must fold them in
-/// ascending bucket-id order to stay bit-identical to the reference. The
-/// buffer makes that free: each non-zero term is scattered into its
-/// bucket's slot and its id bit is set; the fold then walks the mask words
-/// in ascending order, extracting set bits low-to-high — exactly ascending
-/// id order, with no sort. Only the mask words are cleared per query
-/// (`ceil(buckets / 64)` stores); value slots are gated by the mask and
-/// never need clearing.
-#[derive(Debug, Clone, Default)]
-pub struct TermBuf {
-    vals: Vec<f64>,
-    mask: Vec<u64>,
-}
-
 /// Reusable per-caller scratch for the serving entry points
 /// ([`crate::SpatialHistogram::estimate_count_indexed`] and
 /// [`crate::SpatialHistogram::estimate_count_explained`]): allocation-free
 /// once warm, one per worker over a shared immutable histogram.
+///
+/// It is the block-pruned scan's sparse term buffer: a dense per-bucket
+/// value slot plus an id-space bitmask of which slots hold a term for the
+/// current query. The scan visits buckets in Morton-mirror order but must
+/// fold them in ascending bucket-id order to stay bit-identical to the
+/// reference. The buffer makes that free: each non-zero term is scattered
+/// into its bucket's slot and its id bit is set; the fold then walks the
+/// mask words in ascending order, extracting set bits low-to-high —
+/// exactly ascending id order, with no sort. Only the mask words are
+/// cleared per query (`ceil(buckets / 64)` stores); value slots are gated
+/// by the mask and never need clearing.
 #[derive(Debug, Clone, Default)]
 pub struct IndexScratch {
-    /// The block-pruned scan's term buffer.
-    pub(crate) terms: TermBuf,
+    vals: Vec<f64>,
+    mask: Vec<u64>,
 }
 
 impl IndexScratch {
-    /// Creates an empty scratch. Buffers grow on first use and are then
-    /// reused for every subsequent estimate.
+    /// Creates an empty scratch. Slots grow on first use per plane size
+    /// and are then reused for every subsequent estimate.
     pub fn new() -> IndexScratch {
         IndexScratch::default()
-    }
-}
-
-impl TermBuf {
-    /// Creates an empty buffer. Slots grow on first use per plane size and
-    /// are then reused for every subsequent query.
-    pub fn new() -> TermBuf {
-        TermBuf::default()
     }
 
     /// Prepares the buffer for a plane of `n` buckets: grows the slots if
@@ -458,20 +434,21 @@ impl PlaneGeometry {
     /// Builds the geometry over the buckets' MBRs.
     pub(crate) fn build(buckets: &[Bucket]) -> PlaneGeometry {
         let Layout { n, n4, nbp, nqp } = Layout::new(buckets.len());
-        let x1: Vec<f64> = buckets.iter().map(|b| b.mbr.lo.x).collect();
-        let y1: Vec<f64> = buckets.iter().map(|b| b.mbr.lo.y).collect();
-        let x2: Vec<f64> = buckets.iter().map(|b| b.mbr.hi.x).collect();
-        let y2: Vec<f64> = buckets.iter().map(|b| b.mbr.hi.y).collect();
 
         // Morton mirror: gather the MBRs in Z-order of the bucket centres.
         // The schedule over the MBRs keys on exactly those centres; ties
         // keep id order, so the mirror is deterministic.
         let mbrs: Vec<Rect> = buckets.iter().map(|b| b.mbr).collect();
         let mut morder = crate::morton_schedule(&mbrs);
-        let gather =
-            |col: &[f64]| -> Vec<f64> { morder.iter().map(|&id| col[id as usize]).collect() };
-        let (mut mx1, mut my1, mut mx2, mut my2) =
-            (gather(&x1), gather(&y1), gather(&x2), gather(&y2));
+        let gather = |coord: fn(&Rect) -> f64| -> Vec<f64> {
+            morder.iter().map(|&id| coord(&mbrs[id as usize])).collect()
+        };
+        let (mut mx1, mut my1, mut mx2, mut my2) = (
+            gather(|r| r.lo.x),
+            gather(|r| r.lo.y),
+            gather(|r| r.hi.x),
+            gather(|r| r.hi.y),
+        );
         // Mirror pads: the empty rectangle. Its intersection test is false
         // against any (finite) query, so pads classify as dead lanes. Pad
         // `morder` entries map to the term buffer's spare slot `n`, which
@@ -515,10 +492,7 @@ impl PlaneGeometry {
             hi(&my2, quad),
         );
         PlaneGeometry {
-            x1: x1.into(),
-            y1: y1.into(),
-            x2: x2.into(),
-            y2: y2.into(),
+            len: n,
             morder: morder.into(),
             mx1: mx1.into(),
             my1: my1.into(),
@@ -537,7 +511,7 @@ impl PlaneGeometry {
 
     /// Number of buckets the geometry was built over.
     pub(crate) fn len(&self) -> usize {
-        self.x1.len()
+        self.len
     }
 
     /// `true` when `other` shares this geometry's columns.
@@ -549,11 +523,7 @@ impl PlaneGeometry {
     /// Heap bytes held by the geometry's columns.
     fn size_bytes(&self) -> usize {
         std::mem::size_of::<f64>()
-            * (self.x1.len()
-                + self.y1.len()
-                + self.x2.len()
-                + self.y2.len()
-                + self.mx1.len()
+            * (self.mx1.len()
                 + self.my1.len()
                 + self.mx2.len()
                 + self.my2.len()
@@ -611,25 +581,17 @@ impl BucketPlane {
         // The SIMD scans index geometry and weight columns with one bound.
         assert_eq!(geom.len(), buckets.len(), "geometry of another partition");
         let Layout { n, n4, nbp, nqp } = Layout::new(buckets.len());
-        let mut count = Vec::with_capacity(n);
-        let mut ex = Vec::with_capacity(n);
-        let mut ey = Vec::with_capacity(n);
-        for b in buckets {
-            count.push(b.count);
-            let (x, y) = rule.amounts(b.avg_width, b.avg_height);
-            ex.push(x);
-            ey.push(y);
-        }
         // The mirror gathers in Z-order; pads are zero-count, zero-extension
         // dead lanes.
         let mut mcount = Vec::with_capacity(n4);
         let mut mex = Vec::with_capacity(n4);
         let mut mey = Vec::with_capacity(n4);
         for &id in &geom.morder[..n] {
-            let i = id as usize;
-            mcount.push(count[i]);
-            mex.push(ex[i]);
-            mey.push(ey[i]);
+            let b = &buckets[id as usize];
+            let (x, y) = rule.amounts(b.avg_width, b.avg_height);
+            mcount.push(b.count);
+            mex.push(x);
+            mey.push(y);
         }
         mcount.resize(n4, 0.0);
         mex.resize(n4, 0.0);
@@ -642,9 +604,6 @@ impl BucketPlane {
         let (qex, qey) = (max(&mex, quad), max(&mey, quad));
         BucketPlane {
             geom,
-            count,
-            ex,
-            ey,
             mcount,
             mex,
             mey,
@@ -658,13 +617,13 @@ impl BucketPlane {
     /// Number of buckets in the plane.
     #[inline]
     pub fn len(&self) -> usize {
-        self.count.len()
+        self.geom.len()
     }
 
     /// `true` when the plane holds no buckets.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.count.is_empty()
+        self.len() == 0
     }
 
     /// Heap bytes held by the plane's columns (capacity, not length —
@@ -675,10 +634,7 @@ impl BucketPlane {
     pub fn size_bytes(&self) -> usize {
         self.geom.size_bytes()
             + std::mem::size_of::<f64>()
-                * (self.count.capacity()
-                    + self.ex.capacity()
-                    + self.ey.capacity()
-                    + self.mcount.capacity()
+                * (self.mcount.capacity()
                     + self.mex.capacity()
                     + self.mey.capacity()
                     + self.bex.capacity()
@@ -695,10 +651,6 @@ impl BucketPlane {
     pub fn column_bits(&self) -> Vec<(&'static str, Vec<u64>)> {
         let g = &self.geom;
         vec![
-            ("x1", bits(&g.x1)),
-            ("y1", bits(&g.y1)),
-            ("x2", bits(&g.x2)),
-            ("y2", bits(&g.y2)),
             ("morder", g.morder.iter().map(|&id| u64::from(id)).collect()),
             ("mx1", bits(&g.mx1)),
             ("my1", bits(&g.my1)),
@@ -712,9 +664,6 @@ impl BucketPlane {
             ("qy1", bits(&g.qy1)),
             ("qx2", bits(&g.qx2)),
             ("qy2", bits(&g.qy2)),
-            ("count", bits(&self.count)),
-            ("ex", bits(&self.ex)),
-            ("ey", bits(&self.ey)),
             ("mcount", bits(&self.mcount)),
             ("mex", bits(&self.mex)),
             ("mey", bits(&self.mey)),
@@ -723,82 +672,6 @@ impl BucketPlane {
             ("qex", bits(&self.qex)),
             ("qey", bits(&self.qey)),
         ]
-    }
-
-    /// One bucket's step of the skip-zero fold: adds the bucket's term to
-    /// `acc` when it is non-zero, otherwise records the skipped term's sign
-    /// in `saw_pos_zero`. See the module docs for why the overall fold is
-    /// bit-identical to the strict in-order reference fold.
-    #[inline(always)]
-    fn fold_one(&self, i: usize, p: &QueryPrep, acc: &mut f64, saw_pos_zero: &mut bool) {
-        let term = classify(
-            self.geom.x1[i],
-            self.geom.y1[i],
-            self.geom.x2[i],
-            self.geom.y2[i],
-            self.count[i],
-            self.ex[i],
-            self.ey[i],
-            p,
-        );
-        match term {
-            Term::Live(t) => *acc += t,
-            Term::PosZero => *saw_pos_zero = true,
-            Term::NegZero => {}
-        }
-    }
-
-    /// Fold tail shared by every accumulation: the `-0.0`-identity
-    /// correction for skipped `+0.0` terms.
-    #[inline(always)]
-    fn finish(acc: f64, saw_pos_zero: bool) -> f64 {
-        if saw_pos_zero {
-            acc + 0.0
-        } else {
-            acc
-        }
-    }
-
-    /// Strict-fold-equivalent estimate over **all** buckets: bit-identical
-    /// to `buckets.iter().map(estimate_with_extension).sum::<f64>()`.
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-    pub fn accumulate(&self, p: &QueryPrep) -> f64 {
-        self.accumulate_scalar(p)
-    }
-
-    /// Strict-fold-equivalent estimate over **all** buckets: bit-identical
-    /// to `buckets.iter().map(estimate_with_extension).sum::<f64>()`.
-    ///
-    /// Dispatches to the AVX2 filter when the host supports it (detected
-    /// once, cached by `std`), else to the SSE2 baseline. Both re-run
-    /// surviving lanes through the scalar step in lane order, so the result
-    /// is the scalar result bit for bit.
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    #[allow(unsafe_code)] // sanctioned: runtime-feature-guarded dispatch
-    pub fn accumulate(&self, p: &QueryPrep) -> f64 {
-        // Vector setup isn't worth it for a handful of buckets; the scalar
-        // fold is also the bit-reference the filters are pinned against.
-        if self.len() < 8 {
-            return self.accumulate_scalar(p);
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: the AVX2 code path is only entered when the running
-            // CPU reports AVX2 support.
-            unsafe { simd::accumulate_avx2(self, p) }
-        } else {
-            simd::accumulate_sse2(self, p)
-        }
-    }
-
-    /// The portable skip-zero fold (always compiled; the bit-reference for
-    /// the SIMD filters and the only body on non-x86_64 or default builds).
-    fn accumulate_scalar(&self, p: &QueryPrep) -> f64 {
-        let mut acc = -0.0f64;
-        let mut saw_pos_zero = false;
-        for i in 0..self.len() {
-            self.fold_one(i, p, &mut acc, &mut saw_pos_zero);
-        }
-        Self::finish(acc, saw_pos_zero)
     }
 
     /// `true` when the coarse block test proves every member of block `b`
@@ -833,7 +706,7 @@ impl BucketPlane {
     /// rectangle is tested before its members classify, so a block clipped
     /// by the query edge only pays for the quads the query reaches.
     #[inline(always)]
-    fn scan_block_scalar(&self, b: usize, p: &QueryPrep, buf: &mut TermBuf, saw: &mut bool) {
+    fn scan_block_scalar(&self, b: usize, p: &QueryPrep, buf: &mut IndexScratch, saw: &mut bool) {
         let n = self.len();
         let nq = n.div_ceil(QUAD);
         for q in b * (BLOCK / QUAD)..((b + 1) * (BLOCK / QUAD)).min(nq) {
@@ -854,7 +727,7 @@ impl BucketPlane {
     /// later replays the slots in ascending id order straight off the
     /// bitmask), zero terms only touch the flag.
     #[inline(always)]
-    fn scan_one(&self, j: usize, p: &QueryPrep, buf: &mut TermBuf, saw: &mut bool) {
+    fn scan_one(&self, j: usize, p: &QueryPrep, buf: &mut IndexScratch, saw: &mut bool) {
         let term = classify(
             self.geom.mx1[j],
             self.geom.my1[j],
@@ -878,7 +751,7 @@ impl BucketPlane {
     /// ascending order and extracting set bits low-to-high. The mask *is*
     /// the order, so no sort happens on any path; cost is
     /// `ceil(buckets / 64)` word loads plus one add per surviving term.
-    fn fold_masked(&self, buf: &TermBuf, saw_pos_zero: bool) -> f64 {
+    fn fold_masked(&self, buf: &IndexScratch, saw_pos_zero: bool) -> f64 {
         let words = self.len().div_ceil(64);
         let mut acc = -0.0f64;
         for w in 0..words {
@@ -889,13 +762,17 @@ impl BucketPlane {
                 acc += buf.vals[(w << 6) | bit];
             }
         }
-        Self::finish(acc, saw_pos_zero)
+        if saw_pos_zero {
+            acc + 0.0
+        } else {
+            acc
+        }
     }
 
-    /// Block-pruned estimate over **all** buckets via the Morton mirror:
-    /// bit-identical to [`BucketPlane::accumulate`] (and therefore to the
-    /// strict reference fold), sub-linear in the bucket count for
-    /// selective queries, allocation-free once `terms` is warm.
+    /// The plane's one scan: the estimate over **all** buckets via the
+    /// Morton mirror, bit-identical to the strict reference fold,
+    /// sub-linear in the bucket count for selective queries, and
+    /// allocation-free once `buf` is warm.
     ///
     /// The scan visits members of surviving blocks in mirror order,
     /// scattering non-zero terms into the term buffer's per-bucket slots;
@@ -906,22 +783,24 @@ impl BucketPlane {
     /// terms are added in exactly the reference order — so the scan order
     /// is free to follow the mirror while the result stays bit-identical.
     #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-    pub fn accumulate_pruned(&self, p: &QueryPrep, buf: &mut TermBuf) -> f64 {
+    pub fn accumulate_pruned(&self, p: &QueryPrep, buf: &mut IndexScratch) -> f64 {
         self.accumulate_pruned_scalar(p, buf)
     }
 
-    /// Block-pruned estimate over **all** buckets via the Morton mirror:
-    /// bit-identical to [`BucketPlane::accumulate`] (and therefore to the
-    /// strict reference fold), sub-linear in the bucket count for
-    /// selective queries, allocation-free once `terms` is warm.
+    /// The plane's one scan: the estimate over **all** buckets via the
+    /// Morton mirror, bit-identical to the strict reference fold,
+    /// sub-linear in the bucket count for selective queries, and
+    /// allocation-free once `buf` is warm.
     ///
-    /// Under `simd`, the coarse block tests run four (AVX2) or two (SSE2)
-    /// blocks per compare and surviving blocks run the vector zero-filter;
-    /// surviving members still classify through the scalar step, so the
+    /// Under `simd`, planes of at least `2 * BLOCK` buckets run the coarse
+    /// block tests four (AVX2) or two (SSE2) blocks per compare. AVX2 then
+    /// gates a surviving block's quads with one compare and computes each
+    /// surviving quad's terms at vector width in the scalar step's
+    /// operation order; SSE2 runs the scalar quad scan. Either way the
     /// collected terms are the scalar terms bit for bit.
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     #[allow(unsafe_code)] // sanctioned: runtime-feature-guarded dispatch
-    pub fn accumulate_pruned(&self, p: &QueryPrep, buf: &mut TermBuf) -> f64 {
+    pub fn accumulate_pruned(&self, p: &QueryPrep, buf: &mut IndexScratch) -> f64 {
         if self.len() < 2 * BLOCK {
             return self.accumulate_pruned_scalar(p, buf);
         }
@@ -936,7 +815,7 @@ impl BucketPlane {
 
     /// The portable block-pruned scan (always compiled; the bit-reference
     /// for the SIMD variants and the only body on default builds).
-    fn accumulate_pruned_scalar(&self, p: &QueryPrep, buf: &mut TermBuf) -> f64 {
+    fn accumulate_pruned_scalar(&self, p: &QueryPrep, buf: &mut IndexScratch) -> f64 {
         buf.reset(self.len());
         let mut saw_pos_zero = false;
         for b in 0..self.len().div_ceil(BLOCK) {
@@ -984,10 +863,13 @@ impl BucketPlane {
     /// therefore bit-identical to the serving path by construction, not by
     /// re-derivation.
     ///
-    /// Always scalar, even under `simd`: the SIMD paths replay surviving
-    /// lanes through the scalar step, so the scalar scan *is* the bit
-    /// reference they are pinned against.
-    pub fn accumulate_pruned_explained(&self, p: &QueryPrep, buf: &mut TermBuf) -> KernelExplain {
+    /// Always scalar, even under `simd`: the scalar scan is the bit
+    /// reference the vector scans are pinned against.
+    pub fn accumulate_pruned_explained(
+        &self,
+        p: &QueryPrep,
+        buf: &mut IndexScratch,
+    ) -> KernelExplain {
         buf.reset(self.len());
         let n = self.len();
         let nq = n.div_ceil(QUAD);
@@ -1052,10 +934,10 @@ impl BucketPlane {
     }
 }
 
-/// Which kernel code path serves `BucketPlane::accumulate` on this host —
-/// `"avx2"` / `"sse2"` under the `simd` feature on x86_64, otherwise
-/// `"scalar-autovec"`. Recorded in BENCH_estimate.json so committed numbers
-/// say what actually ran.
+/// Which kernel code path serves [`BucketPlane::accumulate_pruned`] on
+/// this host — `"avx2"` / `"sse2"` under the `simd` feature on x86_64 (for
+/// planes of at least 32 buckets), otherwise `"scalar-autovec"`. Recorded
+/// in BENCH_estimate.json so committed numbers say what actually ran.
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 pub fn simd_level() -> &'static str {
     if std::arch::is_x86_feature_detected!("avx2") {
@@ -1065,130 +947,29 @@ pub fn simd_level() -> &'static str {
     }
 }
 
-/// Which kernel code path serves `BucketPlane::accumulate` on this host —
-/// `"avx2"` / `"sse2"` under the `simd` feature on x86_64, otherwise
-/// `"scalar-autovec"`. Recorded in BENCH_estimate.json so committed numbers
-/// say what actually ran.
+/// Which kernel code path serves [`BucketPlane::accumulate_pruned`] on
+/// this host — `"avx2"` / `"sse2"` under the `simd` feature on x86_64 (for
+/// planes of at least 32 buckets), otherwise `"scalar-autovec"`. Recorded
+/// in BENCH_estimate.json so committed numbers say what actually ran.
 #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
 pub fn simd_level() -> &'static str {
     "scalar-autovec"
 }
 
-/// Vectorised zero-filters over the plane columns. The vectors only decide
-/// *which* buckets can contribute; every surviving bucket re-runs the
-/// scalar [`BucketPlane::fold_one`] step in lane order, so bit-identity
-/// with the scalar fold is structural, not numerical luck. The per-lane
-/// compare semantics agree with the scalar filter on every input the plane
-/// can hold (finite MBRs; NaN counts and extension amounts behave
-/// identically — see the module docs).
+/// Vectorised block-pruned scans over the Morton mirror. The vector
+/// summary gates decide *which* blocks and quads can contribute, and the
+/// AVX2 quad step repeats `classify`'s operations lane-wise in the same
+/// order, so every collected term is the scalar term bit for bit. The
+/// per-lane compare semantics agree with the scalar filter on every input
+/// the plane can hold (finite MBRs; NaN counts and extension amounts
+/// behave identically — see the module docs).
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 #[allow(unsafe_code)]
 mod simd {
     use core::arch::x86_64::*;
 
-    use super::{BucketPlane, QueryPrep, TermBuf};
+    use super::{BucketPlane, IndexScratch, QueryPrep};
 
-    /// AVX2 filter, four buckets per iteration.
-    ///
-    /// # Safety
-    ///
-    /// The caller must ensure the running CPU supports AVX2.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn accumulate_avx2(plane: &BucketPlane, p: &QueryPrep) -> f64 {
-        let n = plane.len();
-        let mut acc = -0.0f64;
-        let mut saw_pos_zero = false;
-        let zero = _mm256_setzero_pd();
-        let cx = _mm256_set1_pd(p.cx);
-        let cy = _mm256_set1_pd(p.cy);
-        let qhw = _mm256_set1_pd(p.hw);
-        let qhh = _mm256_set1_pd(p.hh);
-        let mut i = 0usize;
-        while i + 4 <= n {
-            // SAFETY: all fine columns have length `n` (`with_geometry`
-            // asserts the geometry matches the weights) and `i + 4 <= n`.
-            let (live_bits, neg_bits) = unsafe {
-                let ex = _mm256_loadu_pd(plane.ex.as_ptr().add(i));
-                let ey = _mm256_loadu_pd(plane.ey.as_ptr().add(i));
-                let x1 = _mm256_loadu_pd(plane.geom.x1.as_ptr().add(i));
-                let x2 = _mm256_loadu_pd(plane.geom.x2.as_ptr().add(i));
-                let y1 = _mm256_loadu_pd(plane.geom.y1.as_ptr().add(i));
-                let y2 = _mm256_loadu_pd(plane.geom.y2.as_ptr().add(i));
-                let c = _mm256_loadu_pd(plane.count.as_ptr().add(i));
-                // (qhw + ex).max(0.0): max(sum, +0.0) returns +0.0 for a
-                // NaN sum, matching scalar `f64::max`.
-                let hw = _mm256_max_pd(_mm256_add_pd(qhw, ex), zero);
-                let hh = _mm256_max_pd(_mm256_add_pd(qhh, ey), zero);
-                let elx = _mm256_sub_pd(cx, hw);
-                let ehx = _mm256_add_pd(cx, hw);
-                let ely = _mm256_sub_pd(cy, hh);
-                let ehy = _mm256_add_pd(cy, hh);
-                let inter = _mm256_and_pd(
-                    _mm256_and_pd(
-                        _mm256_cmp_pd::<_CMP_LE_OQ>(elx, x2),
-                        _mm256_cmp_pd::<_CMP_LE_OQ>(x1, ehx),
-                    ),
-                    _mm256_and_pd(
-                        _mm256_cmp_pd::<_CMP_LE_OQ>(ely, y2),
-                        _mm256_cmp_pd::<_CMP_LE_OQ>(y1, ehy),
-                    ),
-                );
-                let ox = _mm256_max_pd(
-                    _mm256_sub_pd(_mm256_min_pd(ehx, x2), _mm256_max_pd(elx, x1)),
-                    zero,
-                );
-                let oy = _mm256_max_pd(
-                    _mm256_sub_pd(_mm256_min_pd(ehy, y2), _mm256_max_pd(ely, y1)),
-                    zero,
-                );
-                let w = _mm256_sub_pd(x2, x1);
-                let h = _mm256_sub_pd(y2, y1);
-                // NEQ is unordered (NaN counts stay live, like the scalar
-                // `c != 0.0`); GT/LE are ordered (overlaps are never NaN).
-                let live = _mm256_and_pd(
-                    _mm256_and_pd(inter, _mm256_cmp_pd::<_CMP_NEQ_UQ>(c, zero)),
-                    _mm256_and_pd(
-                        _mm256_or_pd(
-                            _mm256_cmp_pd::<_CMP_LE_OQ>(w, zero),
-                            _mm256_cmp_pd::<_CMP_GT_OQ>(ox, zero),
-                        ),
-                        _mm256_or_pd(
-                            _mm256_cmp_pd::<_CMP_LE_OQ>(h, zero),
-                            _mm256_cmp_pd::<_CMP_GT_OQ>(oy, zero),
-                        ),
-                    ),
-                );
-                let neg = _mm256_and_pd(inter, _mm256_cmp_pd::<_CMP_LT_OQ>(c, zero));
-                (_mm256_movemask_pd(live), _mm256_movemask_pd(neg))
-            };
-            if live_bits == 0 {
-                // All four terms are proven zeros; a skipped term is
-                // `-0.0` only for intersecting negative-count buckets.
-                saw_pos_zero |= neg_bits != 0b1111;
-            } else {
-                // Rare mixed/occupied vector: replay all four lanes
-                // through the scalar step, preserving fold order exactly.
-                for lane in 0..4 {
-                    plane.fold_one(i + lane, p, &mut acc, &mut saw_pos_zero);
-                }
-            }
-            i += 4;
-        }
-        while i < n {
-            plane.fold_one(i, p, &mut acc, &mut saw_pos_zero);
-            i += 1;
-        }
-        BucketPlane::finish(acc, saw_pos_zero)
-    }
-
-    /// AVX2 block-pruned scan: four coarse block tests per compare, and
-    /// the four-lane zero-filter inside surviving blocks. Every surviving
-    /// member classifies through the scalar step, so the collected terms
-    /// equal the scalar scan's bit for bit.
-    ///
-    /// # Safety
-    ///
-    /// The caller must ensure the running CPU supports AVX2.
     /// Per-query vector broadcasts shared by every AVX2 scan level, built
     /// once per [`accumulate_pruned_avx2`] call.
     #[derive(Clone, Copy)]
@@ -1273,7 +1054,7 @@ mod simd {
         plane: &BucketPlane,
         blk: usize,
         bc: &QBcast,
-        buf: &mut TermBuf,
+        buf: &mut IndexScratch,
         saw_pos_zero: &mut bool,
     ) {
         let n = plane.len();
@@ -1410,7 +1191,7 @@ mod simd {
             for (lane, &t) in tbuf.iter().enumerate() {
                 // SAFETY: `morder` is padded to the mirror length, ids
                 // are at most `n`, and the buffer holds `n + 1` value
-                // slots plus a spare mask word (see `TermBuf::reset`).
+                // slots plus a spare mask word (see `IndexScratch::reset`).
                 unsafe {
                     let id = *plane.geom.morder.get_unchecked(j + lane) as usize;
                     *buf.vals.get_unchecked_mut(id) = t;
@@ -1420,11 +1201,20 @@ mod simd {
         }
     }
 
+    /// AVX2 block-pruned scan: four coarse block tests per compare, a
+    /// four-quad gate inside each surviving block, and the four member
+    /// terms of each surviving quad at vector width
+    /// ([`scan_block_avx2`]). The collected terms equal the scalar scan's
+    /// bit for bit.
+    ///
+    /// # Safety
+    ///
+    /// The caller must ensure the running CPU supports AVX2.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn accumulate_pruned_avx2(
         plane: &BucketPlane,
         p: &QueryPrep,
-        buf: &mut TermBuf,
+        buf: &mut IndexScratch,
     ) -> f64 {
         buf.reset(plane.len());
         let nb = plane.len().div_ceil(super::BLOCK);
@@ -1476,7 +1266,7 @@ mod simd {
     pub(super) fn accumulate_pruned_sse2(
         plane: &BucketPlane,
         p: &QueryPrep,
-        buf: &mut TermBuf,
+        buf: &mut IndexScratch,
     ) -> f64 {
         buf.reset(plane.len());
         let nb = plane.len().div_ceil(super::BLOCK);
@@ -1526,71 +1316,6 @@ mod simd {
             }
         }
         plane.fold_masked(buf, saw_pos_zero)
-    }
-
-    /// SSE2 filter, two buckets per iteration. SSE2 is part of the x86_64
-    /// baseline, so this needs no runtime detection.
-    pub(super) fn accumulate_sse2(plane: &BucketPlane, p: &QueryPrep) -> f64 {
-        let n = plane.len();
-        let mut acc = -0.0f64;
-        let mut saw_pos_zero = false;
-        // SAFETY: SSE2 is statically available on every x86_64 target.
-        unsafe {
-            let zero = _mm_setzero_pd();
-            let cx = _mm_set1_pd(p.cx);
-            let cy = _mm_set1_pd(p.cy);
-            let qhw = _mm_set1_pd(p.hw);
-            let qhh = _mm_set1_pd(p.hh);
-            let mut i = 0usize;
-            while i + 2 <= n {
-                // SAFETY: all fine columns have length `n` (`with_geometry`
-                // asserts the geometry matches the weights) and `i + 2 <= n`.
-                let ex = _mm_loadu_pd(plane.ex.as_ptr().add(i));
-                let ey = _mm_loadu_pd(plane.ey.as_ptr().add(i));
-                let x1 = _mm_loadu_pd(plane.geom.x1.as_ptr().add(i));
-                let x2 = _mm_loadu_pd(plane.geom.x2.as_ptr().add(i));
-                let y1 = _mm_loadu_pd(plane.geom.y1.as_ptr().add(i));
-                let y2 = _mm_loadu_pd(plane.geom.y2.as_ptr().add(i));
-                let c = _mm_loadu_pd(plane.count.as_ptr().add(i));
-                let hw = _mm_max_pd(_mm_add_pd(qhw, ex), zero);
-                let hh = _mm_max_pd(_mm_add_pd(qhh, ey), zero);
-                let elx = _mm_sub_pd(cx, hw);
-                let ehx = _mm_add_pd(cx, hw);
-                let ely = _mm_sub_pd(cy, hh);
-                let ehy = _mm_add_pd(cy, hh);
-                let inter = _mm_and_pd(
-                    _mm_and_pd(_mm_cmple_pd(elx, x2), _mm_cmple_pd(x1, ehx)),
-                    _mm_and_pd(_mm_cmple_pd(ely, y2), _mm_cmple_pd(y1, ehy)),
-                );
-                let ox = _mm_max_pd(_mm_sub_pd(_mm_min_pd(ehx, x2), _mm_max_pd(elx, x1)), zero);
-                let oy = _mm_max_pd(_mm_sub_pd(_mm_min_pd(ehy, y2), _mm_max_pd(ely, y1)), zero);
-                let w = _mm_sub_pd(x2, x1);
-                let h = _mm_sub_pd(y2, y1);
-                // `_mm_cmpneq_pd` is unordered-true (NaN counts stay
-                // live); gt/le are ordered, overlaps are never NaN.
-                let live = _mm_and_pd(
-                    _mm_and_pd(inter, _mm_cmpneq_pd(c, zero)),
-                    _mm_and_pd(
-                        _mm_or_pd(_mm_cmple_pd(w, zero), _mm_cmpgt_pd(ox, zero)),
-                        _mm_or_pd(_mm_cmple_pd(h, zero), _mm_cmpgt_pd(oy, zero)),
-                    ),
-                );
-                if _mm_movemask_pd(live) == 0 {
-                    let neg = _mm_and_pd(inter, _mm_cmplt_pd(c, zero));
-                    saw_pos_zero |= _mm_movemask_pd(neg) != 0b11;
-                } else {
-                    for lane in 0..2 {
-                        plane.fold_one(i + lane, p, &mut acc, &mut saw_pos_zero);
-                    }
-                }
-                i += 2;
-            }
-            while i < n {
-                plane.fold_one(i, p, &mut acc, &mut saw_pos_zero);
-                i += 1;
-            }
-        }
-        BucketPlane::finish(acc, saw_pos_zero)
     }
 }
 
@@ -1662,19 +1387,13 @@ mod tests {
             for side in [1usize, 2, 3, 5, 8, 16] {
                 let buckets = grid(side);
                 let plane = BucketPlane::build(&buckets, rule);
-                let mut terms = TermBuf::new();
+                let mut scratch = IndexScratch::new();
                 for q in queries() {
                     let p = QueryPrep::new(&q);
-                    let want = reference(&buckets, rule, &q).to_bits();
                     assert_eq!(
-                        plane.accumulate(&p).to_bits(),
-                        want,
+                        plane.accumulate_pruned(&p, &mut scratch).to_bits(),
+                        reference(&buckets, rule, &q).to_bits(),
                         "rule={rule:?} side={side} q={q}"
-                    );
-                    assert_eq!(
-                        plane.accumulate_pruned(&p, &mut terms).to_bits(),
-                        want,
-                        "pruned: rule={rule:?} side={side} q={q}"
                     );
                 }
             }
@@ -1683,17 +1402,29 @@ mod tests {
 
     #[test]
     fn accumulate_matches_scalar_fold() {
-        // Under `simd` this pins the vector filter against the scalar
-        // fold; on default builds it is trivially true.
-        let buckets = grid(9);
-        let plane = BucketPlane::build(&buckets, ExtensionRule::Minkowski);
-        for q in queries() {
-            let p = QueryPrep::new(&q);
-            assert_eq!(
-                plane.accumulate(&p).to_bits(),
-                plane.accumulate_scalar(&p).to_bits(),
-                "q={q}"
-            );
+        // Under `simd` this pins the vector scans against the scalar scan;
+        // on default builds it is trivially true. Sizes straddle the
+        // `2 * BLOCK` dispatch cut, and 33 and 49 end in a ragged quad and
+        // block.
+        let buckets = grid(7);
+        let mut scratch = IndexScratch::new();
+        for n in [31usize, 32, 33, 49] {
+            for rule in [
+                ExtensionRule::Minkowski,
+                ExtensionRule::PaperLiteral,
+                ExtensionRule::None,
+            ] {
+                let plane = BucketPlane::build(&buckets[..n], rule);
+                for q in queries() {
+                    let p = QueryPrep::new(&q);
+                    let want = plane.accumulate_pruned_scalar(&p, &mut scratch).to_bits();
+                    assert_eq!(
+                        plane.accumulate_pruned(&p, &mut scratch).to_bits(),
+                        want,
+                        "n={n} rule={rule:?} q={q}"
+                    );
+                }
+            }
         }
     }
 
@@ -1731,9 +1462,10 @@ mod tests {
             },
             bucket(0.0, 0.0, 1e300, 1e300, 5e-324, 0.0, 0.0),
         ];
-        // Duplicate the set so it exceeds the SIMD dispatch threshold and
-        // the vector filters see the adversarial lanes too.
-        let buckets: Vec<Bucket> = buckets.iter().chain(buckets.iter()).copied().collect();
+        // Repeat the set to 35 buckets, past the `2 * BLOCK` SIMD dispatch
+        // cut with a ragged last quad and block, so the vector scans see
+        // the adversarial lanes too.
+        let buckets: Vec<Bucket> = buckets.iter().cycle().take(35).copied().collect();
         for rule in [
             ExtensionRule::Minkowski,
             ExtensionRule::PaperLiteral,
@@ -1750,19 +1482,13 @@ mod tests {
                 Rect::new(10.0, 0.0, 12.0, 10.0),
             ] {
                 let p = QueryPrep::new(&q);
-                let got = plane.accumulate(&p);
                 let want = reference(&buckets, rule, &q);
+                let mut scratch = IndexScratch::new();
+                let got = plane.accumulate_pruned(&p, &mut scratch);
                 assert_eq!(
                     got.to_bits(),
                     want.to_bits(),
                     "rule={rule:?} q={q} got={got} want={want}"
-                );
-                let mut terms = TermBuf::new();
-                let pruned = plane.accumulate_pruned(&p, &mut terms);
-                assert_eq!(
-                    pruned.to_bits(),
-                    want.to_bits(),
-                    "pruned: rule={rule:?} q={q} got={pruned} want={want}"
                 );
             }
         }
@@ -1773,10 +1499,10 @@ mod tests {
         let plane = BucketPlane::build(&[], ExtensionRule::Minkowski);
         let p = QueryPrep::new(&Rect::new(0.0, 0.0, 1.0, 1.0));
         // The reference fold over zero terms is Rust's `-0.0` identity.
-        assert_eq!(plane.accumulate(&p).to_bits(), (-0.0f64).to_bits());
-        let mut terms = TermBuf::new();
         assert_eq!(
-            plane.accumulate_pruned(&p, &mut terms).to_bits(),
+            plane
+                .accumulate_pruned(&p, &mut IndexScratch::new())
+                .to_bits(),
             (-0.0f64).to_bits()
         );
     }
@@ -1807,13 +1533,13 @@ mod tests {
 
     #[test]
     fn size_bytes_counts_all_columns() {
-        // 16 buckets: 7 fine + 7 mirror f64 columns, one u32 id column,
-        // one block summary padded to a coarse vector of four, and four
-        // quad summaries (6 f64 each).
+        // 16 buckets: 7 mirror f64 columns, one u32 id column, one block
+        // summary padded to a coarse vector of four, and four quad
+        // summaries (6 f64 each).
         let plane = BucketPlane::build(&grid(4), ExtensionRule::Minkowski);
         assert_eq!(
             plane.size_bytes(),
-            16 * 7 * 8 + 16 * 7 * 8 + 16 * 4 + 4 * 6 * 8 + 4 * 6 * 8
+            16 * 7 * 8 + 16 * 4 + 4 * 6 * 8 + 4 * 6 * 8
         );
     }
 

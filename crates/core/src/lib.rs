@@ -80,7 +80,6 @@ pub use gridhist::{build_grid, try_build_grid};
 pub use histogram::{EstimateExplain, ServingFootprint, SpatialHistogram};
 pub use kernel::{
     simd_level, BucketPlane, ExplainTerm, IndexScratch, KernelExplain, PruneStats, QueryPrep,
-    TermBuf,
 };
 pub use minskew::{MinSkewBuildTrace, MinSkewBuilder, MinSkewDetail, SplitEvent, SplitStrategy};
 pub use morton::{morton_key, morton_schedule};

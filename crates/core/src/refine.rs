@@ -39,7 +39,7 @@
 
 use minskew_geom::{Axis, Rect};
 
-use crate::{Bucket, SpatialEstimator, SpatialHistogram};
+use crate::{Bucket, IndexScratch, SpatialEstimator, SpatialHistogram};
 
 /// One feedback triple from the serving path: a query, the exact result
 /// count measured for it, and the estimate that was served.
@@ -488,10 +488,13 @@ fn observed_error(observations: &[RefineObservation]) -> f64 {
 /// Average relative error of `hist` re-predicting the observed queries,
 /// with estimates clamped into `[0, nf]` the way the serving path clamps.
 fn predicted_error(hist: &SpatialHistogram, observations: &[RefineObservation], nf: f64) -> f64 {
+    let mut scratch = IndexScratch::new();
     let num: f64 = observations
         .iter()
         .map(|o| {
-            let est = hist.estimate_count(&o.query).clamp(0.0, nf.max(0.0));
+            let est = hist
+                .estimate_count_indexed(&o.query, &mut scratch)
+                .clamp(0.0, nf.max(0.0));
             (o.actual - est).abs()
         })
         .sum();

@@ -1,13 +1,14 @@
 //! Differential suite for the SoA clip-and-accumulate kernel behind
-//! `estimate_count` (backed by [`BucketPlane`]): it must be
+//! `estimate_count` (the [`BucketPlane`]'s block-pruned scan with a fresh
+//! scratch per call): it must be
 //! **bit-identical** to the scalar AoS fold (`estimate_count_reference`, a
 //! left-to-right sum of `Bucket::estimate` over the bucket slice) on the
 //! whole shared corpus in `tests/common` — every dataset, technique,
 //! extension rule and adversarial query — including through in-place
 //! churn and a re-ANALYZE, and the engine's Morton-scheduled batch path
-//! over that mix must keep the bits of a per-query loop. The block-pruned
-//! scan behind `estimate_count_indexed` is pinned to the same fold by
-//! `serving_differential.rs`. A plane kept across maintenance writes (its
+//! over that mix must keep the bits of a per-query loop. The same scan
+//! with a caller-owned scratch, behind `estimate_count_indexed`, is pinned
+//! to the same fold by `serving_differential.rs`. A plane kept across maintenance writes (its
 //! MBR geometry shared, its weights rebuilt) must hold the columns of a
 //! fresh `BucketPlane::build` bit for bit, and a table's snapshots share
 //! one geometry until a new partition is installed.
@@ -15,7 +16,7 @@
 //! `--features exhaustive` scales the corpus up; `--features proptest` adds
 //! randomized differential properties over both paths. CI runs the suite
 //! on one test thread, and once more under `--features simd` so the
-//! runtime-dispatched vector filter is pinned to the same oracle.
+//! runtime-dispatched pruned vector scan is pinned to the same oracle.
 
 mod common;
 

@@ -5,11 +5,13 @@
 //! (`estimate_count_reference`) on the whole shared corpus and through
 //! churn, the cache to an uncached table after every invalidation (insert,
 //! delete, re-ANALYZE), the batch to a per-query loop at every thread
-//! count. The SoA kernel behind `estimate_count` is pinned to the same
-//! fold by `kernel_differential.rs`.
+//! count. The same scan behind `estimate_count`, with a fresh scratch per
+//! call, is pinned to the same fold by `kernel_differential.rs`.
 //!
 //! The workload is the shared corpus in `tests/common`. CI also runs the
-//! suite under `--features exhaustive` on one test thread.
+//! suite on one test thread under `--features exhaustive`, and again under
+//! `--features exhaustive,simd` so the vector scan's scatter runs through
+//! one reused scratch.
 
 mod common;
 
